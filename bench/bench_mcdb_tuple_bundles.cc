@@ -3,7 +3,8 @@
 /// distribution (mean SBP of female patients); the bundle executor runs
 /// the plan once over bundled values. The benchmark sweeps Monte Carlo
 /// repetition counts, plus a large 10k-tuple x 1k-rep configuration that
-/// exercises the columnar kernels (recorded in BENCH_mcdb.json).
+/// exercises the columnar kernels (its perfbench counterpart is mapped in
+/// perfbench/README.md).
 
 #include <cmath>
 #include <cstdio>
@@ -127,8 +128,8 @@ void BM_TupleBundles(benchmark::State& state) {
 BENCHMARK(BM_TupleBundles)->Arg(16)->Arg(64)->Arg(256);
 
 /// Full bundle pipeline (generation + plan) at columnar-kernel scale:
-/// args = (tuples, reps). The 10000 x 1000 point is the BENCH_mcdb.json
-/// before/after configuration.
+/// args = (tuples, reps). The 10000 x 1000 point is the configuration
+/// perfbench's batch_analytics workload times.
 void BM_BundleGenerateAndQuery(benchmark::State& state) {
   MonteCarloDb db = MakeDb(static_cast<size_t>(state.range(0)));
   const size_t reps = static_cast<size_t>(state.range(1));

@@ -1,9 +1,8 @@
 /// Observability-layer microbenchmarks: the per-event cost of the obs
 /// primitives that ride inside every engine hot path, plus the end-to-end
-/// price of EXPLAIN ANALYZE profiling. The overhead GUARD for the engine
-/// itself (BM_OptimizedPlan / BM_ChainStep with obs compiled in vs
-/// -DMDE_OBS_DISABLED=ON) runs those benches from their own binaries in two
-/// build trees; results live in BENCH_obs.json.
+/// price of EXPLAIN ANALYZE profiling. These are diagnostics, not the
+/// engine's benchmark: perfbench/README.md maps each of them to the
+/// perfbench metric that replaced it or records why it was retired.
 
 #include <cstdio>
 
@@ -243,7 +242,7 @@ BENCHMARK(BM_PlanWithProfile);
 /// (the plan executor over 100k rows) with the profiler stopped (/0) vs
 /// running at the default 97 Hz (/1). At 97 Hz a busy thread takes ~97
 /// SIGPROF deliveries per CPU-second; each is a backtrace + relaxed ring
-/// stores, so the expected tax is well under the 3% BENCH_obs.json budget.
+/// stores, so the expected tax is well under the 3% overhead budget.
 void BM_ProfilerOverhead(benchmark::State& state) {
   static table::Table t = MakeTable(100000);
   table::PlanPtr plan = table::PlanNode::Filter(

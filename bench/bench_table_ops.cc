@@ -1,7 +1,7 @@
 /// Microbenchmarks for the table operator suite: the retained
 /// row-at-a-time reference operators vs the vectorized columnar kernels
-/// (vec_ops.h), at several thread counts. These are the numbers behind
-/// BENCH_table.json's kernel-level rows.
+/// (vec_ops.h), at several thread counts. perfbench/README.md records how
+/// these kernel-level rows map onto the engine's benchmark.
 
 #include <cstdio>
 #include <memory>

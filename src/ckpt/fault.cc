@@ -74,14 +74,12 @@ void FaultInjector::MaybeFail(const std::string& point) {
       std::lock_guard<std::mutex> lock(mu_);
       hit = hits_[point];
     }
-#ifndef MDE_OBS_DISABLED
     // Flight dump BEFORE the throw: the injected fault models a crash, so
     // the recorder must capture what every thread was doing at the fault
     // site, not after unwinding. Dump failures are ignored — the injected
     // fault is the event under test.
     obs::FlightRecorder::Global().DumpToFile(
         obs::FlightRecorder::DefaultPath(), "fault:" + point);
-#endif
     throw FaultInjected(point, hit);
   }
 }

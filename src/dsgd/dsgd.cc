@@ -130,13 +130,11 @@ DsgdRun::DsgdRun(const std::vector<SparseRow>& rows, size_t dim,
   // stratum in the long run — the condition for w.p.-1 convergence.
   order_.resize(strata.size());
   for (size_t i = 0; i < order_.size(); ++i) order_[i] = i;
-#ifndef MDE_OBS_DISABLED
   uint64_t fp = obs::FingerprintString("dsgd.run");
   fp = obs::FingerprintMix(fp, dim);
   fp = obs::FingerprintMix(fp, strata.size());
   fp = obs::FingerprintMix(fp, options.rounds);
   fingerprint_ = obs::FingerprintMix(fp, options.sgd.seed);
-#endif
 }
 
 Status DsgdRun::StepOnce() {

@@ -26,12 +26,10 @@ Result<MonteCarloSummary> Summarize(const std::vector<double>& samples) {
   s.median = Quantile(samples, 0.5);
   s.q05 = Quantile(samples, 0.05);
   s.q95 = Quantile(samples, 0.95);
-#ifndef MDE_OBS_DISABLED
   // Publish the 95% CLT half-width of this aggregate so sampled time
   // series show Monte Carlo precision per summarized result set.
   obs::CiMonitor ci("mcdb.ci_halfwidth");
   for (double v : samples) ci.Add(v);
-#endif
   return s;
 }
 

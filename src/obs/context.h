@@ -43,8 +43,7 @@
 ///
 /// Determinism: contexts ride alongside tasks and are write-only side-band
 /// state — nothing in a kernel reads them — so enabling attribution cannot
-/// change any engine output. All macros compile out under MDE_OBS_DISABLED;
-/// the classes stay linkable.
+/// change any engine output.
 namespace mde::obs {
 
 /// Per-query resource accumulator. Stable address for the process lifetime
@@ -85,9 +84,9 @@ const Context& CurrentContext();
 /// and context-gated span sees an inactive context and takes its cheap path.
 /// Defaults to on; `MDE_OBS_ATTR=0|off` in the environment flips the startup
 /// default. Because the switch is consulted only at scope-open time, toggling
-/// it mid-query affects the NEXT query, never a running one — and it is the
-/// lever the same-binary overhead guard in BENCH_obs.json uses to price the
-/// context layer without cross-binary code-layout noise.
+/// it mid-query affects the NEXT query, never a running one. With
+/// MDE_PROF_HZ and Tracer::Enable it is how observability is turned down
+/// (perfbench/README.md's ledger map covers the retired overhead guard).
 bool AttributionEnabled();
 void SetAttributionEnabled(bool on);
 
@@ -216,16 +215,13 @@ std::string FingerprintHex(uint64_t fingerprint);
 
 }  // namespace mde::obs
 
-#ifndef MDE_OBS_DISABLED
-
 #ifndef MDE_OBS_CONCAT
 #define MDE_OBS_CONCAT_INNER(a, b) a##b
 #define MDE_OBS_CONCAT(a, b) MDE_OBS_CONCAT_INNER(a, b)
 #endif
 
 /// Opens a query scope covering the rest of the enclosing block. `tag` must
-/// be a string literal; `fp` is any uint64 fingerprint expression (not
-/// evaluated under MDE_OBS_DISABLED).
+/// be a string literal; `fp` is any uint64 fingerprint expression.
 #define MDE_OBS_QUERY_SCOPE(tag, fp) \
   ::mde::obs::QueryScope MDE_OBS_CONCAT(_mde_obs_qscope_, __LINE__)((tag), (fp))
 
@@ -240,19 +236,5 @@ std::string FingerprintHex(uint64_t fingerprint);
                                    std::memory_order_relaxed);         \
     }                                                                  \
   } while (0)
-
-#else  // MDE_OBS_DISABLED
-
-#define MDE_OBS_QUERY_SCOPE(tag, fp) \
-  do {                               \
-    (void)sizeof((fp));              \
-  } while (0)
-
-#define MDE_OBS_ATTR_ADD(field, n) \
-  do {                             \
-    (void)sizeof((n));             \
-  } while (0)
-
-#endif  // MDE_OBS_DISABLED
 
 #endif  // MDE_OBS_CONTEXT_H_

@@ -23,9 +23,6 @@
 /// (same side-band discipline as the rest of mde::obs; the determinism
 /// test in obs_export_test runs engines under a 10ms sampler across thread
 /// counts).
-///
-/// Everything compiles (and links) under MDE_OBS_DISABLED; it simply
-/// observes an empty registry and emits valid empty documents.
 namespace mde::obs {
 
 /// Prometheus metric-name sanitization: every character outside

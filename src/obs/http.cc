@@ -14,16 +14,12 @@
 #include "obs/profiler.h"
 #include "obs/trace.h"
 
-#ifndef MDE_OBS_DISABLED
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 namespace mde::obs {
-
-#ifndef MDE_OBS_DISABLED
 
 namespace {
 
@@ -622,8 +618,7 @@ DiagServer::Response DiagServer::Route(const Request& req) {
 DiagServer* DiagServer::MaybeStartFromEnv() {
   // The two knobs are independent: MDE_PROF_HZ alone runs the continuous
   // profiler headless (collectable in-process or by a later server start),
-  // which also lets the BENCH_obs.json guard toggle the profiler without
-  // the server's threads in the measured arm.
+  // so the profiler can be priced without the server's threads running.
   static DiagServer* server = []() -> DiagServer* {
     const char* hz_env = std::getenv("MDE_PROF_HZ");
     if (hz_env != nullptr && *hz_env != '\0') {
@@ -656,37 +651,5 @@ DiagServer* DiagServer::MaybeStartFromEnv() {
   }();
   return server;
 }
-
-#else  // MDE_OBS_DISABLED
-
-uint64_t RegisterDiagHandler(const std::string&, DiagHandler,
-                             const std::string&) {
-  // Accepted (ids stay unique so Unregister round-trips) but never served:
-  // there is no server in this build.
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-void UnregisterDiagHandler(uint64_t) {}
-
-std::string DiagQueryParam(const std::string&, const std::string&) {
-  return "";
-}
-
-std::string DiagServer::Request::Param(const std::string&) const {
-  return "";
-}
-
-DiagServer::DiagServer() = default;
-DiagServer::~DiagServer() = default;
-bool DiagServer::Start(uint16_t) { return false; }
-void DiagServer::Stop() {}
-void DiagServer::AcceptLoop() {}
-void DiagServer::HandlerLoop() {}
-void DiagServer::HandleConnection(int) {}
-DiagServer::Response DiagServer::Route(const Request&) { return {}; }
-DiagServer* DiagServer::MaybeStartFromEnv() { return nullptr; }
-
-#endif  // MDE_OBS_DISABLED
 
 }  // namespace mde::obs

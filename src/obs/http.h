@@ -43,9 +43,6 @@
 ///
 /// Binds 127.0.0.1 only: this is a diagnostics port, not a public API.
 /// Port 0 picks an ephemeral port (tests); port() reports the bound one.
-///
-/// Under -DMDE_OBS_DISABLED the class is a linkable no-op: Start() returns
-/// false.
 namespace mde::obs {
 
 /// One page produced by a registered diagnostics handler.
@@ -66,8 +63,7 @@ using DiagHandler = std::function<DiagPage(const std::string& query)>;
 /// their own endpoints without obs depending on them. Built-in endpoints
 /// take precedence over registered ones; registering a path twice replaces
 /// the earlier handler. `index_line` (optional, HTML) is appended to the
-/// index page. Returns an id for UnregisterDiagHandler. Under
-/// MDE_OBS_DISABLED registration is accepted but nothing serves it.
+/// index page. Returns an id for UnregisterDiagHandler.
 uint64_t RegisterDiagHandler(const std::string& path, DiagHandler handler,
                              const std::string& index_line = "");
 void UnregisterDiagHandler(uint64_t id);
@@ -89,8 +85,8 @@ class DiagServer {
   DiagServer& operator=(const DiagServer&) = delete;
 
   /// Binds 127.0.0.1:`port` (0 = ephemeral) and starts the accept and
-  /// handler threads. Returns false if already running, on any socket
-  /// error, or under MDE_OBS_DISABLED.
+  /// handler threads. Returns false if already running or on any socket
+  /// error.
   bool Start(uint16_t port);
 
   /// Joins every thread and closes every socket. Idempotent.

@@ -9,7 +9,6 @@ namespace mde::obs {
 
 namespace {
 
-#ifndef MDE_OBS_DISABLED
 std::string PoolCounterName(const char* pool, const char* leaf) {
   std::string name = "obs.mem.";
   name += pool;
@@ -17,68 +16,40 @@ std::string PoolCounterName(const char* pool, const char* leaf) {
   name += leaf;
   return name;
 }
-#endif
 
 }  // namespace
 
 void RecordAlloc(const char* pool, uint64_t bytes) {
-#ifndef MDE_OBS_DISABLED
   if (bytes == 0) return;
   Registry::Global().counter(PoolCounterName(pool, "alloc_bytes"))->Add(bytes);
-#else
-  (void)pool;
-  (void)bytes;
-#endif
 }
 
 void RecordFree(const char* pool, uint64_t bytes) {
-#ifndef MDE_OBS_DISABLED
   if (bytes == 0) return;
   Registry::Global().counter(PoolCounterName(pool, "freed_bytes"))->Add(bytes);
-#else
-  (void)pool;
-  (void)bytes;
-#endif
 }
 
 MemPool::MemPool(const char* pool) {
-#ifndef MDE_OBS_DISABLED
   Registry& r = Registry::Global();
   alloc_ = r.counter(PoolCounterName(pool, "alloc_bytes"));
   freed_ = r.counter(PoolCounterName(pool, "freed_bytes"));
-#else
-  (void)pool;
-#endif
 }
 
 void MemPool::RecordAlloc(uint64_t bytes) {
-#ifndef MDE_OBS_DISABLED
   if (bytes != 0) alloc_->Add(bytes);
-#else
-  (void)bytes;
-#endif
 }
 
 void MemPool::RecordFree(uint64_t bytes) {
-#ifndef MDE_OBS_DISABLED
   if (bytes != 0) freed_->Add(bytes);
-#else
-  (void)bytes;
-#endif
 }
 
 uint64_t LiveBytes(const std::string& pool) {
-#ifndef MDE_OBS_DISABLED
   Registry& r = Registry::Global();
   const uint64_t alloc =
       r.counter("obs.mem." + pool + ".alloc_bytes")->Value();
   const uint64_t freed =
       r.counter("obs.mem." + pool + ".freed_bytes")->Value();
   return alloc > freed ? alloc - freed : 0;
-#else
-  (void)pool;
-  return 0;
-#endif
 }
 
 ProcessMemory SampleProcessMemory() {
@@ -101,13 +72,11 @@ ProcessMemory SampleProcessMemory() {
 }
 
 void PublishProcessMemoryGauges() {
-#ifndef MDE_OBS_DISABLED
   const ProcessMemory mem = SampleProcessMemory();
   if (!mem.ok) return;
   Registry& r = Registry::Global();
   r.gauge("obs.mem.rss_kb")->Set(static_cast<double>(mem.rss_kb));
   r.gauge("obs.mem.peak_rss_kb")->Set(static_cast<double>(mem.peak_rss_kb));
-#endif
 }
 
 }  // namespace mde::obs

@@ -18,8 +18,7 @@
 /// pair). Counters-not-gauges keeps the write path a relaxed fetch_add and
 /// makes per-interval allocation rates recoverable from sampled deltas.
 ///
-/// Everything here is write-only side-band state and compiles to linkable
-/// no-ops under MDE_OBS_DISABLED.
+/// Everything here is write-only side-band state.
 namespace mde::obs {
 
 class Counter;
@@ -44,15 +43,13 @@ class MemPool {
   void RecordFree(uint64_t bytes);
 
  private:
-#ifndef MDE_OBS_DISABLED
   Counter* alloc_ = nullptr;
   Counter* freed_ = nullptr;
-#endif
 };
 
 /// alloc - freed for the pool, clamped at 0 (a snapshot across sharded
 /// counters, so momentarily-interleaved readings may be off by in-flight
-/// deltas). Returns 0 for unknown pools and under MDE_OBS_DISABLED.
+/// deltas). Returns 0 for unknown pools.
 uint64_t LiveBytes(const std::string& pool);
 
 /// RAII byte account for one storage object: Set(bytes) reports the delta

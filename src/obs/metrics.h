@@ -22,10 +22,6 @@
 /// 2. *Determinism-neutral.* Metrics are write-only from the engine's point
 ///    of view: nothing in a kernel ever reads a metric, so collection cannot
 ///    perturb results or ordering.
-/// 3. *Compile-out.* Building with -DMDE_OBS_DISABLED (CMake option
-///    MDE_OBS_DISABLED) turns every MDE_OBS_* macro into nothing. The
-///    classes below stay compiled so tools that *read* metrics keep
-///    linking; they simply observe an empty registry.
 ///
 /// Naming scheme: dot-separated "<subsystem>.<what>[.<detail>]", e.g.
 /// "pool.steals", "vec.filter.rows_in", "mcdb.vg_samples". Counters count
@@ -154,9 +150,7 @@ class Registry {
 
 /// Hot-path instrumentation macros. The metric handle is resolved once per
 /// call site (function-local static), so steady state is a relaxed
-/// fetch_add on a thread-sharded cell. All of them compile to nothing under
-/// MDE_OBS_DISABLED.
-#ifndef MDE_OBS_DISABLED
+/// fetch_add on a thread-sharded cell.
 
 #define MDE_OBS_COUNT(name, n)                                    \
   do {                                                            \
@@ -180,24 +174,5 @@ class Registry {
             name, ::mde::obs::ExponentialBounds());               \
     _mde_obs_h->Observe(static_cast<double>(v));                  \
   } while (0)
-
-#else  // MDE_OBS_DISABLED
-
-// sizeof keeps the operands syntactically used (no -Wunused on variables
-// that only feed metrics) without evaluating them.
-#define MDE_OBS_COUNT(name, n) \
-  do {                         \
-    (void)sizeof((n));         \
-  } while (0)
-#define MDE_OBS_GAUGE_SET(name, v) \
-  do {                             \
-    (void)sizeof((v));             \
-  } while (0)
-#define MDE_OBS_OBSERVE(name, v) \
-  do {                           \
-    (void)sizeof((v));           \
-  } while (0)
-
-#endif  // MDE_OBS_DISABLED
 
 #endif  // MDE_OBS_METRICS_H_

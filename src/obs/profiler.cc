@@ -9,7 +9,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#ifndef MDE_OBS_DISABLED
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
@@ -22,11 +21,8 @@
 #ifndef sigev_notify_thread_id
 #define sigev_notify_thread_id _sigev_un._tid
 #endif
-#endif  // !MDE_OBS_DISABLED
 
 namespace mde::obs {
-
-#ifndef MDE_OBS_DISABLED
 
 /// One sample as the signal handler writes it: individually-atomic fields,
 /// ts_ns written LAST (release) so windowed readers skip in-progress
@@ -412,58 +408,5 @@ void Profiler::Reset() {
     }
   }
 }
-
-#else  // MDE_OBS_DISABLED
-
-/// Linkable no-op twin: the classes exist, Start refuses, collections are
-/// empty. The signal/timer machinery is not compiled at all.
-struct Profiler::Slot {};
-
-Profiler& Profiler::Global() {
-  static Profiler* p = new Profiler();
-  return *p;
-}
-
-Profiler::Profiler() = default;
-
-void Profiler::RegisterCurrentThread() {}
-void Profiler::ReleaseCurrentThreadSlot(Slot*) {}
-bool Profiler::ArmTimerLocked(Slot*, int) { return false; }
-void Profiler::DisarmTimerLocked(Slot*) {}
-bool Profiler::Start(int) { return false; }
-void Profiler::Stop() {}
-bool Profiler::running() const { return false; }
-int Profiler::hz() const { return kDefaultHz; }
-uint64_t Profiler::samples_recorded() const { return 0; }
-
-std::vector<Profiler::Sample> Profiler::Collect(uint64_t, uint64_t,
-                                                uint64_t) const {
-  return {};
-}
-
-std::string Profiler::Folded(const std::vector<Sample>&, int hz,
-                             double window_s, bool) {
-  char header[128];
-  std::snprintf(header, sizeof(header),
-                "# mde_profile hz=%d samples=0 window_s=%.3f\n", hz,
-                window_s);
-  return header;
-}
-
-std::string Profiler::CaptureFolded(double seconds, uint64_t, bool, int hz) {
-  return Folded({}, hz, seconds, false);
-}
-
-void Profiler::NoteContext(uint64_t, const char*) {}
-void Profiler::Reset() {}
-
-std::string SymbolizePc(uintptr_t pc) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(pc));
-  return buf;
-}
-
-#endif  // MDE_OBS_DISABLED
 
 }  // namespace mde::obs

@@ -40,9 +40,6 @@
 /// Determinism: the profiler is write-only side-band state — no engine code
 /// reads a sample — so enabling it cannot change any result bit (asserted
 /// engine-level in obs_http_test at {1,2,8} threads).
-///
-/// Under -DMDE_OBS_DISABLED everything here compiles as a linkable no-op:
-/// Start() returns false, Collect() is empty.
 namespace mde::obs {
 
 class Profiler {
@@ -75,8 +72,7 @@ class Profiler {
 
   /// Starts process-wide continuous sampling at `hz` (clamped to
   /// [1, 1000]). Arms one per-thread CPU timer per registered thread.
-  /// Returns false when already running, when no timer could be created,
-  /// or under MDE_OBS_DISABLED.
+  /// Returns false when already running or when no timer could be created.
   bool Start(int hz = kDefaultHz);
 
   /// Disarms and deletes every timer. Retained samples stay collectable.
@@ -115,8 +111,7 @@ class Profiler {
   /// returns the folded text for the window, filtered to `query_fp` when
   /// nonzero. Reuses the running continuous session if any, otherwise runs
   /// a temporary one at `hz`. Captures are serialized; the calling thread
-  /// blocks for the window. Under MDE_OBS_DISABLED returns just the header
-  /// line with samples=0.
+  /// blocks for the window.
   std::string CaptureFolded(double seconds, uint64_t query_fp = 0,
                             bool query_roots = false, int hz = kDefaultHz);
 

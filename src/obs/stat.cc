@@ -12,11 +12,7 @@ namespace {
 
 /// Resolves a gauge handle, or nullptr for the empty name / disabled build.
 Gauge* MaybeGauge(const std::string& name) {
-#ifndef MDE_OBS_DISABLED
   if (!name.empty()) return Registry::Global().gauge(name);
-#else
-  (void)name;
-#endif
   return nullptr;
 }
 

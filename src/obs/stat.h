@@ -20,10 +20,7 @@
 /// that owns it). Publication goes through Gauge::Set (a relaxed atomic
 /// store), so concurrent readers — the Sampler thread, exporters — are
 /// safe. None of this is read back by the engine: determinism-neutral by
-/// the same write-only discipline as the rest of mde::obs. Gauge
-/// publication compiles to nothing under MDE_OBS_DISABLED; the estimators
-/// themselves stay functional (the run-report tool and tests use them
-/// directly).
+/// the same write-only discipline as the rest of mde::obs.
 namespace mde::obs {
 
 class Gauge;

@@ -144,21 +144,11 @@ void EnsureCurrentThreadNamed(const char* fallback);
 
 }  // namespace mde::obs
 
-#ifndef MDE_OBS_DISABLED
-
 #define MDE_OBS_CONCAT_INNER(a, b) a##b
 #define MDE_OBS_CONCAT(a, b) MDE_OBS_CONCAT_INNER(a, b)
 /// Opens a span covering the rest of the enclosing scope. `name` must be a
 /// string literal (or otherwise outlive the tracer).
 #define MDE_TRACE_SPAN(name) \
   ::mde::obs::SpanGuard MDE_OBS_CONCAT(_mde_trace_span_, __LINE__)(name)
-
-#else  // MDE_OBS_DISABLED
-
-#define MDE_TRACE_SPAN(name) \
-  do {                       \
-  } while (0)
-
-#endif  // MDE_OBS_DISABLED
 
 #endif  // MDE_OBS_TRACE_H_

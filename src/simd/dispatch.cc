@@ -4,9 +4,7 @@
 #include <string>
 
 #include "obs/metrics.h"
-#ifndef MDE_OBS_DISABLED
 #include "obs/export.h"
-#endif
 #include "simd/kernels.h"
 #include "simd/simd.h"
 
@@ -60,9 +58,7 @@ Tier RequestedTier() {
 struct DispatchState {
   const KernelTable* table = nullptr;
   Tier tier = Tier::kScalar;
-#ifndef MDE_OBS_DISABLED
   obs::Counter* counters[static_cast<size_t>(KernelId::kNumKernels)] = {};
-#endif
 
   void Apply(Tier t) {
     if (static_cast<int>(t) > static_cast<int>(BestSupportedTier())) {
@@ -70,20 +66,16 @@ struct DispatchState {
     }
     tier = t;
     table = TableFor(t);
-#ifndef MDE_OBS_DISABLED
     const std::string prefix = "simd.dispatch.";
     const std::string suffix = std::string(".") + TierName(t);
     for (size_t k = 0; k < static_cast<size_t>(KernelId::kNumKernels); ++k) {
       counters[k] =
           obs::Registry::Global().counter(prefix + kKernelNames[k] + suffix);
     }
-#endif
     MDE_OBS_GAUGE_SET("simd.tier", static_cast<int>(t));
-#ifndef MDE_OBS_DISABLED
     // Name flows INTO obs (obs sits below simd in the layering) so
     // mde_build_info and /statusz can report the active tier by name.
     obs::SetRuntimeLabel("simd_tier", TierName(t));
-#endif
   }
 
   DispatchState() { Apply(RequestedTier()); }
@@ -130,11 +122,7 @@ Tier InitFromEnv() {
 }
 
 void CountKernel(KernelId k) {
-#ifndef MDE_OBS_DISABLED
   State().counters[static_cast<size_t>(k)]->Add(1);
-#else
-  (void)k;
-#endif
 }
 
 namespace internal {

@@ -139,13 +139,10 @@ Result<DatabaseState> MarkovChainDb::Run(size_t steps, uint64_t seed,
                                          const Observer& observer) {
   MDE_TRACE_SPAN("simsql.run");
   history_.clear();
-#ifndef MDE_OBS_DISABLED
   const uint64_t run_start_ns = obs::NowNanos();
-#endif
   ChainRunner runner(*this, steps, seed, rep, observer);
   while (!runner.Done()) MDE_RETURN_NOT_OK(runner.StepOnce());
   MDE_ASSIGN_OR_RETURN(DatabaseState final_state, runner.Finish());
-#ifndef MDE_OBS_DISABLED
   // Chain throughput for this Run: the sampled time series shows step-rate
   // collapse (e.g. a transition that grows its table) long before a
   // wall-clock budget trips.
@@ -155,7 +152,6 @@ Result<DatabaseState> MarkovChainDb::Run(size_t steps, uint64_t seed,
     MDE_OBS_GAUGE_SET("simsql.steps_per_sec",
                       static_cast<double>(steps) / secs);
   }
-#endif
   return final_state;
 }
 
@@ -165,7 +161,6 @@ ChainRunner::ChainRunner(MarkovChainDb& db, size_t steps, uint64_t seed,
       steps_(steps),
       observer_(std::move(observer)),
       rng_(Rng::Substream(seed, rep)) {
-#ifndef MDE_OBS_DISABLED
   uint64_t fp = obs::FingerprintString("simsql.chain");
   for (const auto& spec : db_.specs_) {
     fp = obs::FingerprintMix(fp, obs::FingerprintString(spec.name));
@@ -173,7 +168,6 @@ ChainRunner::ChainRunner(MarkovChainDb& db, size_t steps, uint64_t seed,
   fp = obs::FingerprintMix(fp, steps);
   fp = obs::FingerprintMix(fp, seed);
   fingerprint_ = obs::FingerprintMix(fp, rep);
-#endif
 }
 
 Status ChainRunner::StepOnce() {
@@ -275,14 +269,12 @@ Result<std::vector<double>> MonteCarloChain(
     const std::function<Result<double>(const DatabaseState&)>& query) {
   std::vector<double> samples;
   samples.reserve(reps);
-#ifndef MDE_OBS_DISABLED
   // Chain-diagnostics monitors: running CLT half-width and P² quantile
   // sketches over the replication samples, published as gauges so the
   // Sampler's time series shows the estimate tightening rep by rep.
   obs::CiMonitor ci("simsql.mc.ci_halfwidth");
   obs::P2Quantile q50(0.5);
   obs::P2Quantile q95(0.95);
-#endif
   for (size_t rep = 0; rep < reps; ++rep) {
     Result<DatabaseState> final_state = db.Run(steps, seed, rep);
     if (!final_state.ok()) {
@@ -296,7 +288,6 @@ Result<std::vector<double>> MonteCarloChain(
     }
     samples.push_back(v.value());
     MDE_OBS_COUNT("simsql.mc.reps", 1);
-#ifndef MDE_OBS_DISABLED
     ci.Add(v.value());
     q50.Add(v.value());
     q95.Add(v.value());
@@ -305,7 +296,6 @@ Result<std::vector<double>> MonteCarloChain(
     MDE_OBS_GAUGE_SET("simsql.mc.acceptance_rate",
                       static_cast<double>(samples.size()) /
                           static_cast<double>(rep + 1));
-#endif
   }
   return samples;
 }

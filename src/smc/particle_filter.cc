@@ -17,12 +17,10 @@ ParticleFilter::ParticleFilter(const StateSpaceModel& model,
                                const ParticleFilterOptions& options)
     : model_(model), options_(options), rng_(options.seed) {
   MDE_CHECK_GT(options.num_particles, 0u);
-#ifndef MDE_OBS_DISABLED
   fingerprint_ = obs::FingerprintMix(
       obs::FingerprintMix(obs::FingerprintString("smc.filter"),
                           options.num_particles),
       options.seed);
-#endif
 }
 
 Rng ParticleFilter::ParticleRng(size_t step, size_t i) const {

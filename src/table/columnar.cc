@@ -203,7 +203,6 @@ uint64_t ApproxColumnBytes(const Column& c) {
 
 std::shared_ptr<const Column> AccountColumnBlock(
     std::shared_ptr<Column> col) {
-#ifndef MDE_OBS_DISABLED
   // Account the block to the table.columnar pool for exactly as long as any
   // owner keeps it alive: alloc here, free in the shared_ptr deleter. The
   // pool handle is resolved once; each event is a relaxed fetch_add.
@@ -216,9 +215,6 @@ std::shared_ptr<const Column> AccountColumnBlock(
         pool.RecordFree(bytes);
         col.reset();
       });
-#else
-  return col;
-#endif
 }
 
 std::shared_ptr<const Column> ColumnBuilder::Finish() {

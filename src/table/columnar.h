@@ -89,8 +89,7 @@ class ColumnBuilder {
 /// Wraps a freshly built column block with `table.columnar` memory-pool
 /// accounting (obs/mem.h): its directly-owned footprint is recorded as
 /// allocated now and as freed when the last owner drops the block. Used by
-/// ColumnBuilder::Finish and the vectorized operators' gather path; under
-/// MDE_OBS_DISABLED this is a pass-through.
+/// ColumnBuilder::Finish and the vectorized operators' gather path.
 std::shared_ptr<const Column> AccountColumnBlock(std::shared_ptr<Column> col);
 
 /// Column-oriented relation: the storage representation behind the

@@ -10,6 +10,34 @@
 
 namespace mde::table {
 
+namespace {
+
+Result<std::shared_ptr<const ColumnarTable>> ConvertRows(
+    const Schema& schema, const std::vector<Row>& rows) {
+  std::vector<ColumnBuilder> builders;
+  builders.reserve(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    builders.emplace_back(schema.column(c).type);
+    builders.back().Reserve(rows.size());
+  }
+  for (const Row& r : rows) {
+    for (size_t c = 0; c < builders.size(); ++c) {
+      if (!builders[c].AppendValue(r[c])) {
+        return Status::FailedPrecondition(
+            "cell type disagrees with declared column type for column " +
+            schema.column(c).name + "; staying on the row path");
+      }
+    }
+  }
+  std::vector<std::shared_ptr<const Column>> cols;
+  cols.reserve(builders.size());
+  for (auto& b : builders) cols.push_back(b.Finish());
+  return std::make_shared<const ColumnarTable>(schema, std::move(cols),
+                                               rows.size());
+}
+
+}  // namespace
+
 uint64_t NextContentVersion() {
   static std::atomic<uint64_t> next{1};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -68,96 +96,90 @@ std::string Schema::ToString() const {
 
 Table::Table(Schema schema, std::vector<Row> rows)
     : schema_(std::move(schema)), rows_(std::move(rows)) {
-  for (const Row& r : rows_) {
+  for (const Row& r : rows_.get()) {
     MDE_CHECK_EQ(r.size(), schema_.num_columns());
   }
 }
 
 size_t Table::num_rows() const {
-  return columnar_ != nullptr ? columnar_->num_rows() : rows_.size();
+  // Row-backed tables always have rows_ filled; columnar-backed ones may
+  // not yet, and then the blocks know the count.
+  return rows_.ready() ? rows_.get().size() : columnar_.get()->num_rows();
 }
 
 void Table::EnsureRows() const {
-  if (columnar_ == nullptr || rows_.size() == columnar_->num_rows()) return;
-  const size_t n = columnar_->num_rows();
-  rows_.clear();
-  rows_.reserve(n);
-  for (size_t i = 0; i < n; ++i) rows_.push_back(columnar_->MaterializeRow(i));
+  if (rows_.ready()) return;
+  rows_.Fill([this](std::vector<Row>& rows) {
+    const ColumnarTable& cols = *columnar_.get();
+    const size_t n = cols.num_rows();
+    rows.reserve(n);
+    for (size_t i = 0; i < n; ++i) rows.push_back(cols.MaterializeRow(i));
+    return true;
+  });
 }
 
 const Row& Table::row(size_t i) const {
   EnsureRows();
-  return rows_[i];
+  return rows_.get()[i];
 }
 
 const std::vector<Row>& Table::rows() const {
   EnsureRows();
-  return rows_;
+  return rows_.get();
 }
 
 void Table::Append(Row row) {
   MDE_CHECK_EQ(row.size(), schema_.num_columns());
   EnsureRows();
-  columnar_.reset();
-  stats_.reset();
+  columnar_.Reset();
+  stats_.Reset();
   content_version_ = NextContentVersion();
-  rows_.push_back(std::move(row));
+  rows_.mut().push_back(std::move(row));
 }
 
 void Table::Reserve(size_t n) {
   EnsureRows();
-  rows_.reserve(n);
+  rows_.mut().reserve(n);
 }
 
 Result<Value> Table::At(size_t row, const std::string& column) const {
   MDE_CHECK_LT(row, num_rows());
   MDE_ASSIGN_OR_RETURN(size_t idx, schema_.IndexOf(column));
-  if (columnar_ != nullptr && rows_.empty()) {
-    return columnar_->col(idx).ValueAt(row);
-  }
-  EnsureRows();
-  return rows_[row][idx];
+  if (!rows_.ready()) return columnar_.get()->col(idx).ValueAt(row);
+  return rows_.get()[row][idx];
 }
 
 void Table::Set(size_t row, size_t col, Value v) {
   MDE_CHECK_LT(row, num_rows());
   MDE_CHECK_LT(col, schema_.num_columns());
   EnsureRows();
-  columnar_.reset();
-  stats_.reset();
+  columnar_.Reset();
+  stats_.Reset();
   content_version_ = NextContentVersion();
-  rows_[row][col] = std::move(v);
+  rows_.mut()[row][col] = std::move(v);
 }
 
 Result<std::shared_ptr<const ColumnarTable>> Table::ToColumnar() const {
-  if (columnar_ != nullptr) {
+  if (columnar_.ready()) {
     // A reused cached conversion is work the active query did NOT pay for;
     // the attribution row records how often each query rode the cache.
     MDE_OBS_COUNT("table.columnar_cache_hits", 1);
     MDE_OBS_ATTR_ADD(cache_hits, 1);
-    return columnar_;
+    return columnar_.get();
   }
-  std::vector<ColumnBuilder> builders;
-  builders.reserve(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    builders.emplace_back(schema_.column(c).type);
-    builders.back().Reserve(rows_.size());
-  }
-  for (const Row& r : rows_) {
-    for (size_t c = 0; c < builders.size(); ++c) {
-      if (!builders[c].AppendValue(r[c])) {
-        return Status::FailedPrecondition(
-            "cell type disagrees with declared column type for column " +
-            schema_.column(c).name + "; staying on the row path");
-      }
+  // Not yet converted, so row-backed: rows_ is the storage.
+  Status status = Status::OK();
+  columnar_.Fill([&](std::shared_ptr<const ColumnarTable>& slot) {
+    auto converted = ConvertRows(schema_, rows_.get());
+    if (!converted.ok()) {
+      status = converted.status();
+      return false;
     }
-  }
-  std::vector<std::shared_ptr<const Column>> cols;
-  cols.reserve(builders.size());
-  for (auto& b : builders) cols.push_back(b.Finish());
-  columnar_ = std::make_shared<const ColumnarTable>(schema_, std::move(cols),
-                                                    rows_.size());
-  return columnar_;
+    slot = std::move(converted).value();
+    return true;
+  });
+  if (!status.ok()) return status;
+  return columnar_.get();
 }
 
 Table Table::FromColumnar(std::shared_ptr<const ColumnarTable> cols) {
@@ -167,23 +189,25 @@ Table Table::FromColumnar(std::shared_ptr<const ColumnarTable> cols) {
   // re-wrapping (SimSQL copies deterministic tables into every version)
   // keeps plan feedback applicable across the wraps.
   t.content_version_ = cols->content_version();
-  t.columnar_ = std::move(cols);
+  t.columnar_.Set(std::move(cols));
+  t.rows_.Reset();
   return t;
 }
 
 std::string Table::ToString(size_t max_rows) const {
   EnsureRows();
+  const std::vector<Row>& rows = rows_.get();
   std::ostringstream os;
-  os << schema_.ToString() << " [" << rows_.size() << " rows]\n";
-  const size_t n = std::min(max_rows, rows_.size());
+  os << schema_.ToString() << " [" << rows.size() << " rows]\n";
+  const size_t n = std::min(max_rows, rows.size());
   for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < rows_[i].size(); ++j) {
+    for (size_t j = 0; j < rows[i].size(); ++j) {
       if (j > 0) os << " | ";
-      os << rows_[i][j].ToString();
+      os << rows[i][j].ToString();
     }
     os << "\n";
   }
-  if (n < rows_.size()) os << "... (" << rows_.size() - n << " more)\n";
+  if (n < rows.size()) os << "... (" << rows.size() - n << " more)\n";
   return os.str();
 }
 

@@ -1,7 +1,9 @@
 #ifndef MDE_TABLE_TABLE_H_
 #define MDE_TABLE_TABLE_H_
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +60,72 @@ using Row = std::vector<Value>;
 /// one was copied from the other unmutated.
 uint64_t NextContentVersion();
 
+namespace internal {
+
+/// One lazily filled value that concurrent const readers may first-touch.
+/// The first Fill builds the value under the slot's mutex; once filled,
+/// ready() is one acquire load and get() a plain read. Copying a slot copies
+/// the value only if it is filled (never one being built); a moved-from
+/// slot is filled with the moved-from value. Set/Reset and moves need
+/// exclusive access, like any non-const use.
+template <typename T>
+class LazySlot {
+ public:
+  LazySlot() = default;
+  explicit LazySlot(T value) : value_(std::move(value)), ready_(true) {}
+  LazySlot(const LazySlot& other) { *this = other; }
+  LazySlot(LazySlot&& other) noexcept { *this = std::move(other); }
+  LazySlot& operator=(const LazySlot& other) {
+    if (this == &other) return *this;
+    if (other.ready()) {
+      Set(other.value_);
+    } else {
+      Reset();
+    }
+    return *this;
+  }
+  LazySlot& operator=(LazySlot&& other) noexcept {
+    if (this == &other) return *this;
+    value_ = std::move(other.value_);
+    ready_.store(other.ready_.exchange(true, std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+    return *this;
+  }
+
+  bool ready() const { return ready_.load(std::memory_order_acquire); }
+  /// The value; only meaningful once ready() (or under exclusive access).
+  const T& get() const { return value_; }
+  T& mut() { return value_; }
+
+  void Set(T value) {
+    value_ = std::move(value);
+    ready_.store(true, std::memory_order_relaxed);
+  }
+  void Reset() {
+    value_ = T();
+    ready_.store(false, std::memory_order_relaxed);
+  }
+
+  /// Fills the slot with `build(T&) -> bool` unless it is already filled;
+  /// concurrent callers wait for the one that builds. A build that returns
+  /// false must leave the value untouched; the slot stays empty and the
+  /// next caller tries again.
+  template <typename Build>
+  void Fill(Build&& build) const {
+    if (ready()) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (ready_.load(std::memory_order_relaxed)) return;
+    if (build(value_)) ready_.store(true, std::memory_order_release);
+  }
+
+ private:
+  mutable std::mutex mu_;  // serializes Fill
+  mutable T value_{};
+  mutable std::atomic<bool> ready_{false};
+};
+
+}  // namespace internal
+
 /// In-memory relation. Rows are append-only through the public API;
 /// operators produce new tables.
 ///
@@ -67,10 +135,10 @@ uint64_t NextContentVersion();
 /// reference to the typed column blocks and materializes the boxed row view
 /// LAZILY on first row access. The row API is thus a view/materialization
 /// layer: pipelines that stay columnar (Query, plan execution, chained
-/// operators) never pay for boxing. Lazy materialization mutates a cache
-/// under const accessors, so a Table must not be shared across threads
-/// while unmaterialized; the concurrent substrate is ColumnarTable, which
-/// is immutable.
+/// operators) never pay for boxing. The lazy caches (boxed rows, columnar
+/// conversion, statistics) fill under const accessors through
+/// internal::LazySlot, so a const Table may be shared across threads and
+/// first-touched from any of them; mutation needs exclusive access.
 class Table {
  public:
   Table() = default;
@@ -100,15 +168,15 @@ class Table {
   /// tables. ColumnarTable::FromTable uses this to make Table -> columnar
   /// conversion O(1) along the vectorized pipeline.
   const std::shared_ptr<const ColumnarTable>& columnar() const {
-    return columnar_;
+    return columnar_.ready() ? columnar_.get() : kNoColumnar;
   }
 
   /// Converts to a columnar representation and caches it on the table, so
   /// repeated scans of the same base table (plan execution, Query) convert
   /// once. O(1) when already attached. Fails with FailedPrecondition if a
   /// cell's runtime type disagrees with its declared column type (such
-  /// mixed-type tables stay on the row path). Mutates the cache under
-  /// const — same single-thread caveat as lazy row materialization.
+  /// mixed-type tables stay on the row path). Safe to call from
+  /// concurrent readers; one of them converts.
   Result<std::shared_ptr<const ColumnarTable>> ToColumnar() const;
 
   /// Wraps a columnar table; the boxed row view is built on first access.
@@ -116,13 +184,16 @@ class Table {
 
   /// Memoized per-column statistics (catalog.h). Computed on first
   /// Catalog::StatsFor call and dropped by any mutation, the same
-  /// discipline as the cached columnar conversion. Same single-thread
-  /// caveat: the cache mutates under const.
+  /// discipline as the cached columnar conversion. The first set wins;
+  /// later ones (a concurrent reader that computed them too) are ignored.
   const std::shared_ptr<const TableStats>& stats_cache() const {
-    return stats_;
+    return stats_.ready() ? stats_.get() : kNoStats;
   }
   void set_stats_cache(std::shared_ptr<const TableStats> s) const {
-    stats_ = std::move(s);
+    stats_.Fill([&s](std::shared_ptr<const TableStats>& slot) {
+      slot = std::move(s);
+      return true;
+    });
   }
 
   /// Content-version stamp: process-unique for this table's current
@@ -142,14 +213,18 @@ class Table {
   /// Materializes rows_ from columnar_ if not yet done.
   void EnsureRows() const;
 
+  inline static const std::shared_ptr<const ColumnarTable> kNoColumnar{};
+  inline static const std::shared_ptr<const TableStats> kNoStats{};
+
   Schema schema_;
-  mutable std::vector<Row> rows_;
-  /// Non-null while columnar-backed; rows_ empty until materialized (or the
-  /// table has zero rows). Reset by any mutation; also a cache for
-  /// ToColumnar on row-backed tables, hence mutable.
-  mutable std::shared_ptr<const ColumnarTable> columnar_;
+  /// Filled from construction on row-backed tables; on columnar-backed ones
+  /// empty until first row access materializes it.
+  internal::LazySlot<std::vector<Row>> rows_{std::vector<Row>{}};
+  /// Filled while columnar-backed; reset by any mutation; also a cache for
+  /// ToColumnar on row-backed tables.
+  internal::LazySlot<std::shared_ptr<const ColumnarTable>> columnar_;
   /// Memoized statistics; reset together with columnar_ on mutation.
-  mutable std::shared_ptr<const TableStats> stats_;
+  internal::LazySlot<std::shared_ptr<const TableStats>> stats_;
   /// See content_version().
   uint64_t content_version_ = NextContentVersion();
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 #include "util/distributions.h"
@@ -136,7 +137,7 @@ double Autocorrelation(const std::vector<double>& values, size_t lag) {
 
 double ConfidenceHalfWidth(const RunningStat& stat, double level) {
   MDE_CHECK(level > 0.0 && level < 1.0);
-  if (stat.count() < 2) return 0.0;
+  if (stat.count() < 2) return std::numeric_limits<double>::infinity();
   const double z = NormalQuantile(0.5 + level / 2.0);
   return z * stat.std_error();
 }

@@ -77,7 +77,9 @@ double Quantile(std::vector<double> values, double q);
 double Autocorrelation(const std::vector<double>& values, size_t lag);
 
 /// Two-sided normal-theory confidence interval half-width for the mean of
-/// `stat` at the given confidence level (e.g. 0.95).
+/// `stat` at the given confidence level (e.g. 0.95). Fewer than two draws
+/// give no variance estimate, so the half-width is +inf, matching
+/// obs::CiMonitor and serve::ResultCache.
 double ConfidenceHalfWidth(const RunningStat& stat, double level);
 
 /// Equi-width histogram over [lo, hi] with `bins` buckets; values outside

@@ -34,7 +34,6 @@ ThreadPool::ThreadPool(size_t num_threads)
   for (size_t i = 0; i < num_threads; ++i) {
     threads_.emplace_back([this, i] { WorkerLoop(i); });
   }
-#ifndef MDE_OBS_DISABLED
   // Publish each worker's WorkerStats at sample time: the INSTANT queue
   // depth (the cumulative counters cannot show backlog) plus the cumulative
   // execution counters, so /statusz and /metrics see the same
@@ -68,15 +67,12 @@ ThreadPool::ThreadPool(size_t num_threads)
           gauges[i].help_runs->Set(static_cast<double>(stats[i].help_runs));
         }
       });
-#endif
 }
 
 ThreadPool::~ThreadPool() {
-#ifndef MDE_OBS_DISABLED
   // Before anything else: the hook captures `this`, and UnregisterSampleHook
   // blocks until any in-flight hook run completes.
   if (sample_hook_id_ != 0) obs::UnregisterSampleHook(sample_hook_id_);
-#endif
   shutdown_.store(true, std::memory_order_seq_cst);
   {
     std::lock_guard<std::mutex> lock(sleep_mu_);
@@ -86,7 +82,6 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-#ifndef MDE_OBS_DISABLED
   // Causal context propagation: capture the submitter's query context and
   // restore it in whichever thread executes the task — the chosen worker, a
   // thief, or a help-running waiter. Write-only side-band state, so this
@@ -97,7 +92,6 @@ void ThreadPool::Submit(std::function<void()> task) {
       inner();
     };
   }
-#endif
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   // A worker submitting work keeps it on its own deque (front = hot end);
   // external submitters round-robin across workers.
@@ -184,12 +178,10 @@ void ThreadPool::Execute(std::function<void()>& task) {
 void ThreadPool::WorkerLoop(size_t index) {
   tls_pool = this;
   tls_worker = index;
-#ifndef MDE_OBS_DISABLED
   obs::SetCurrentThreadName("worker-" + std::to_string(index));
   // Register with the sampling profiler so a running (or later-started)
   // session arms a per-thread CPU timer for this worker.
   obs::Profiler::Global().RegisterCurrentThread();
-#endif
   std::function<void()> task;
   while (true) {
     if (TryGetTask(index, &task)) {

@@ -248,8 +248,6 @@ TEST(ObsExportTest, AppendDerivedGaugesPairsMemCounters) {
   EXPECT_DOUBLE_EQ(snapshot[2].value, 600.0);
 }
 
-#ifndef MDE_OBS_DISABLED
-
 TEST(ObsExportTest, GlobalPrometheusHasCumulativeBuckets) {
   obs::Histogram* h = Registry::Global().histogram(
       "test.prom_hist", {1.0, 10.0, 100.0});
@@ -443,8 +441,6 @@ TEST(ObsWiringTest, SmcEssGaugeMatchesLastStepStats) {
   const double gauge = Registry::Global().gauge("smc.ess")->Value();
   EXPECT_DOUBLE_EQ(gauge, pf.step_stats().back().ess);
 }
-
-#endif  // MDE_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // Histogram quantiles + run report.

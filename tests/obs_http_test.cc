@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -209,7 +210,10 @@ TEST(ObsFatalChainTest, CrashWithDefaultDispositionDiesBySignal) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     // No previous handler: after the dump the process must still die by
-    // SIGSEGV (default disposition re-raised), not exit cleanly.
+    // SIGSEGV (default disposition re-raised), not exit cleanly. Reset the
+    // disposition first, since AddressSanitizer installs a SIGSEGV handler
+    // of its own.
+    ::signal(SIGSEGV, SIG_DFL);
     ::setenv("MDE_FLIGHT_PATH", path.c_str(), 1);
     obs::FlightRecorder::InstallCrashHandler();
     ::raise(SIGSEGV);
@@ -252,20 +256,32 @@ TEST(DiagServerTest, ServesEndpointsWhileEngineRunsEightThreads) {
   // 8 threads of real engine work (bundle generation under QueryScopes)
   // while the scrape runs — the server reads side-band state only.
   std::atomic<bool> stop{false};
+  std::atomic<int> queries_done{0};
   std::vector<std::thread> workers;
   for (int t = 0; t < 8; ++t) {
-    workers.emplace_back([&stop, t] {
+    workers.emplace_back([&stop, &queries_done, t] {
       mcdb::MonteCarloDb db = MakeSbpDb(50);
       uint64_t rep = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        obs::QueryScope scope("test.scrape",
-                              0x9000u + static_cast<uint64_t>(t));
-        auto bundles = mcdb::GenerateBundles(db, db.stochastic_specs()[0],
-                                             "SBP", 4, /*seed=*/rep++,
-                                             /*pool=*/nullptr);
-        ASSERT_TRUE(bundles.ok());
+        {
+          obs::QueryScope scope("test.scrape",
+                                0x9000u + static_cast<uint64_t>(t));
+          auto bundles = mcdb::GenerateBundles(db, db.stochastic_specs()[0],
+                                               "SBP", 4, /*seed=*/rep++,
+                                               /*pool=*/nullptr);
+          ASSERT_TRUE(bundles.ok());
+        }
+        queries_done.fetch_add(1, std::memory_order_release);
       }
     });
+  }
+  // /queryz below must find a query, so wait until one has run: on a slow
+  // build (sanitizers) the workers may not have started by the first scrape.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (queries_done.load(std::memory_order_acquire) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
 
   int status = 0;

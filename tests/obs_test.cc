@@ -104,9 +104,7 @@ class ScopedTracing {
 };
 
 // The next block of metric/trace tests asserts the side effects of the
-// MDE_OBS_* / MDE_TRACE_SPAN macros, which compile to nothing under
-// MDE_OBS_DISABLED — the direct-API tests above cover that configuration.
-#ifndef MDE_OBS_DISABLED
+// MDE_OBS_* / MDE_TRACE_SPAN macros.
 
 TEST(ObsMetricsTest, EngineCountersPopulateFromVecKernels) {
   table::Table t{table::Schema(
@@ -220,8 +218,6 @@ TEST(ObsTraceTest, FlameSummarySeparatesSelfFromInclusive) {
   EXPECT_NE(flame.find("test.flame_outer"), std::string::npos);
   EXPECT_NE(flame.find("test.flame_inner"), std::string::npos);
 }
-
-#endif  // MDE_OBS_DISABLED
 
 // ---------------------------------------------------------------------------
 // ThreadPool worker stats.

@@ -631,9 +631,6 @@ std::string HttpGet(int port, const std::string& target, int* status_out) {
 }
 
 TEST(ServeServerTest, SessionzServedOverDiagServerWhileServerLives) {
-#ifdef MDE_OBS_DISABLED
-  GTEST_SKIP() << "no diagnostics server in the obs-disabled build";
-#endif
   obs::DiagServer diag;
   ASSERT_TRUE(diag.Start(0));
 

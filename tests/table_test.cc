@@ -1,5 +1,12 @@
+#include <latch>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "table/catalog.h"
+#include "table/columnar.h"
 #include "table/ops.h"
 #include "table/query.h"
 #include "table/table.h"
@@ -220,6 +227,71 @@ TEST(QueryTest, CountStarScalar) {
                .ExecuteScalar();
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value().AsInt(), 2);
+}
+
+// MVCC snapshots hand one const Table to many sessions, so the lazy caches
+// (boxed rows of a columnar-backed table, the columnar conversion of a
+// row-backed one, the statistics) must fill safely under concurrent first
+// touch. TSan checks the fills; the asserts check every reader saw them
+// complete.
+TEST(TableConcurrencyTest, ConcurrentFirstTouchOfLazyCaches) {
+  constexpr size_t kRows = 4096;
+  constexpr int kThreads = 4;
+  Table source{Schema({{"id", DataType::kInt64}, {"x", DataType::kDouble}})};
+  for (size_t i = 0; i < kRows; ++i) {
+    source.Append({Value(static_cast<int64_t>(i)),
+                   Value(0.5 * static_cast<double>(i))});
+  }
+  auto blocks = source.ToColumnar();
+  ASSERT_TRUE(blocks.ok());
+  const Table columnar_backed = Table::FromColumnar(blocks.value());
+  const Table row_backed = source;  // copies rows, not a pending fill
+
+  std::latch start(kThreads);
+  std::vector<int> ok(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      const size_t i = (kRows / kThreads) * static_cast<size_t>(t) + 7;
+      const bool row_ok = columnar_backed.row(i)[0].AsInt() ==
+                              static_cast<int64_t>(i) &&
+                          columnar_backed.rows().size() == kRows &&
+                          columnar_backed.num_rows() == kRows;
+      auto cols = row_backed.ToColumnar();
+      const bool cols_ok = cols.ok() && cols.value() != nullptr &&
+                           cols.value()->num_rows() == kRows &&
+                           row_backed.columnar() == cols.value();
+      auto stats = Catalog::Global().StatsFor(columnar_backed);
+      const bool stats_ok = stats != nullptr && stats->row_count == kRows &&
+                            columnar_backed.stats_cache() != nullptr;
+      ok[static_cast<size_t>(t)] = row_ok && cols_ok && stats_ok;
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_TRUE(ok[static_cast<size_t>(t)]);
+  // Every reader got the one cached conversion.
+  EXPECT_EQ(row_backed.ToColumnar().value(), row_backed.columnar());
+  EXPECT_EQ(columnar_backed.row(kRows - 1)[1].AsDouble(),
+            0.5 * static_cast<double>(kRows - 1));
+}
+
+TEST(TableConcurrencyTest, CopiesAndMutationsKeepValueSemantics) {
+  Table t = MakePeople();
+  auto cols = t.ToColumnar();
+  ASSERT_TRUE(cols.ok());
+  const Table wrapped = Table::FromColumnar(cols.value());
+  Table copy = wrapped;  // unmaterialized copy stays columnar-backed
+  EXPECT_EQ(copy.columnar(), cols.value());
+  EXPECT_EQ(copy.num_rows(), 5u);
+  copy.Set(0, 1, Value(int64_t{99}));  // materializes, then detaches
+  EXPECT_EQ(copy.columnar(), nullptr);
+  EXPECT_EQ(copy.stats_cache(), nullptr);
+  EXPECT_EQ(copy.row(0)[1].AsInt(), 99);
+  EXPECT_EQ(wrapped.row(0)[1].AsInt(), 3);  // the original is untouched
+  Table moved = std::move(copy);
+  EXPECT_EQ(moved.num_rows(), 5u);
+  EXPECT_EQ(moved.row(0)[1].AsInt(), 99);
 }
 
 TEST(ScalarHelpersTest, SumAvg) {

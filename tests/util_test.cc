@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -373,6 +374,17 @@ TEST(ConfidenceTest, HalfWidthShrinksWithN) {
   for (int i = 0; i < 10000; ++i) big.Add(SampleNormal(rng, 0, 1));
   EXPECT_GT(ConfidenceHalfWidth(small, 0.95),
             ConfidenceHalfWidth(big, 0.95));
+}
+
+TEST(ConfidenceTest, HalfWidthIsInfiniteBelowTwoDraws) {
+  const double inf = std::numeric_limits<double>::infinity();
+  RunningStat s;
+  EXPECT_EQ(ConfidenceHalfWidth(s, 0.95), inf);  // n = 0
+  s.Add(3.0);
+  EXPECT_EQ(ConfidenceHalfWidth(s, 0.95), inf);  // n = 1: no variance yet
+  s.Add(5.0);
+  // n = 2: z * s / sqrt(n) with s = sqrt(2), so z * 1.
+  EXPECT_NEAR(ConfidenceHalfWidth(s, 0.95), NormalQuantile(0.975), 1e-12);
 }
 
 // Property sweep: sample means of several distributions match analytic

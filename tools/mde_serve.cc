@@ -3,41 +3,25 @@
 /// shared CLT-bounded Monte Carlo result cache, and N concurrent client
 /// sessions asking for answers at an explicit precision.
 ///
-/// Demo (default): starts the demo asset-price chain, runs a handful of
-/// requests across two sessions and two database versions, and prints each
-/// answer with its error bar and cache outcome. With --diag_port=N the live
-/// diagnostics server runs for --serve_seconds so /sessionz, /metrics and
-/// friends can be scraped while requests flow.
-///
-/// Bench (--bench): the closed-loop multi-client harness behind
-/// BENCH_serve.json. `--sessions` clients each replay `--requests`
-/// zipf-mixed requests over `--shapes` distinct request shapes per phase;
-/// between phases the chain advances one version (new cache keys). Each
-/// client issues its next request only after the previous one answered
-/// (closed loop). Reported: hit rate, hit/miss latency percentiles,
-/// precision violations (answer half-width above the requested target),
-/// and a bit-identity audit — a sample of cached answers recomputed on a
-/// fresh single-threaded server must match bitwise. ci/check_bench_serve.py
-/// gates the JSON in CI.
+/// Starts the demo asset-price chain, runs a handful of requests across
+/// two sessions and two database versions, and prints each answer with its
+/// error bar and cache outcome. With --diag_port=N the live diagnostics
+/// server runs for --serve_seconds so /sessionz, /metrics and friends can
+/// be scraped while requests flow. The engine's benchmark lives in
+/// perfbench/.
 ///
 /// Usage:
-///   mde_serve [--diag_port=N] [--serve_seconds=S]
-///   mde_serve --bench [--out=BENCH_serve.json] [--sessions=8]
-///             [--requests=150] [--phases=2] [--shapes=12] [--seed=42]
+///   mde_serve [--seed=42] [--diag_port=N] [--serve_seconds=S]
 
-#include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "obs/http.h"
 #include "serve/server.h"
@@ -129,28 +113,7 @@ McQuerySpec PortfolioValueQuery() {
   return spec;
 }
 
-uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-double PercentileUs(std::vector<uint64_t>* ns, double p) {
-  if (ns->empty()) return 0.0;
-  std::sort(ns->begin(), ns->end());
-  const size_t idx = std::min(
-      ns->size() - 1, static_cast<size_t>(p * static_cast<double>(ns->size())));
-  return static_cast<double>((*ns)[idx]) * 1e-3;
-}
-
 struct Flags {
-  bool bench = false;
-  std::string out = "BENCH_serve.json";
-  int sessions = 8;
-  int requests = 150;  // per session per phase
-  int phases = 2;
-  int shapes = 12;
   uint64_t seed = 42;
   int diag_port = -1;
   int serve_seconds = 5;
@@ -166,16 +129,8 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
       return true;
     };
     int seed_int = -1;
-    if (arg == "--bench") {
-      f->bench = true;
-    } else if (arg.rfind("--out=", 0) == 0) {
-      f->out = arg.substr(6);
-    } else if (intval("--sessions", &f->sessions) ||
-               intval("--requests", &f->requests) ||
-               intval("--phases", &f->phases) ||
-               intval("--shapes", &f->shapes) ||
-               intval("--diag_port", &f->diag_port) ||
-               intval("--serve_seconds", &f->serve_seconds)) {
+    if (intval("--diag_port", &f->diag_port) ||
+        intval("--serve_seconds", &f->serve_seconds)) {
       // parsed
     } else if (intval("--seed", &seed_int)) {
       f->seed = static_cast<uint64_t>(seed_int);
@@ -185,30 +140,6 @@ bool ParseFlags(int argc, char** argv, Flags* f) {
     }
   }
   return true;
-}
-
-/// The request shapes a bench phase mixes over: distinct parameter
-/// bindings of the one registered query, each with a reachable precision
-/// target.
-std::vector<Request> MakeShapes(int n) {
-  std::vector<Request> shapes;
-  for (int s = 0; s < n; ++s) {
-    Request r;
-    r.query = "pv";
-    r.params = {{"vol", 0.5 + 0.25 * static_cast<double>(s % 6)},
-                {"horizon", 4.0 + static_cast<double>(s % 4) * 2.0}};
-    r.target_half_width = 3.0 + static_cast<double>(s % 3);
-    r.max_reps = 4096;
-    shapes.push_back(r);
-  }
-  return shapes;
-}
-
-/// Zipf-ish shape pick: half the traffic on shape 0-1, a long tail after.
-size_t PickShape(Rng& rng, size_t n) {
-  size_t idx = 0;
-  while (idx + 1 < n && rng.NextBounded(2) == 0) ++idx;
-  return idx;
 }
 
 int RunDemo(const Flags& flags) {
@@ -278,194 +209,11 @@ int RunDemo(const Flags& flags) {
   return 0;
 }
 
-int RunBench(const Flags& flags) {
-  mde::simsql::MarkovChainDb db = MakeDemoDb();
-  Server::Options opts;
-  opts.seed = flags.seed;
-  Server server(db, opts);
-  if (!server.AddQuery(PortfolioValueQuery()).ok()) return 1;
-  if (!server.Start().ok()) return 1;
-
-  const std::vector<Request> shapes = MakeShapes(flags.shapes);
-
-  struct Canonical {
-    double estimate = 0.0;
-    double half_width = 0.0;
-    uint64_t reps = 0;
-  };
-  std::mutex audit_mu;
-  std::map<std::pair<size_t, uint64_t>, Canonical> canonical;  // (shape, ver)
-  std::atomic<uint64_t> hits{0};
-  std::atomic<uint64_t> total{0};
-  std::atomic<uint64_t> precision_violations{0};
-  std::atomic<bool> consistent{true};
-  std::vector<uint64_t> hit_ns;
-  std::vector<uint64_t> miss_ns;
-  std::mutex lat_mu;
-
-  for (int phase = 0; phase < flags.phases; ++phase) {
-    if (phase > 0 && !server.AdvanceVersion().ok()) return 1;
-    std::vector<std::thread> clients;
-    for (int c = 0; c < flags.sessions; ++c) {
-      clients.emplace_back([&, c, phase] {
-        auto session = server.OpenSession(
-            "bench-" + std::to_string(phase) + "-" + std::to_string(c));
-        Rng pick(flags.seed + 1000 * static_cast<uint64_t>(phase) +
-                 static_cast<uint64_t>(c));
-        std::vector<uint64_t> local_hit_ns;
-        std::vector<uint64_t> local_miss_ns;
-        for (int q = 0; q < flags.requests; ++q) {
-          const size_t shape = PickShape(pick, shapes.size());
-          const Request& req = shapes[shape];
-          const uint64_t t0 = NowNs();
-          auto r = session->Execute(req);  // closed loop: wait for answer
-          const uint64_t dt = NowNs() - t0;
-          if (!r.ok()) {
-            consistent.store(false);
-            return;
-          }
-          const Answer& a = r.value();
-          total.fetch_add(1, std::memory_order_relaxed);
-          if (a.cache_hit) {
-            hits.fetch_add(1, std::memory_order_relaxed);
-            local_hit_ns.push_back(dt);
-          } else {
-            local_miss_ns.push_back(dt);
-          }
-          if (a.half_width > req.target_half_width &&
-              a.reps < req.max_reps) {
-            precision_violations.fetch_add(1, std::memory_order_relaxed);
-          }
-          std::lock_guard<std::mutex> lock(audit_mu);
-          auto [it, inserted] = canonical.try_emplace(
-              std::make_pair(shape, a.version),
-              Canonical{a.estimate, a.half_width, a.reps});
-          if (!inserted &&
-              (std::memcmp(&it->second.estimate, &a.estimate,
-                           sizeof(double)) != 0 ||
-               it->second.reps != a.reps)) {
-            consistent.store(false);  // cross-session answer drift
-          }
-        }
-        std::lock_guard<std::mutex> lock(lat_mu);
-        hit_ns.insert(hit_ns.end(), local_hit_ns.begin(),
-                      local_hit_ns.end());
-        miss_ns.insert(miss_ns.end(), local_miss_ns.begin(),
-                       local_miss_ns.end());
-      });
-    }
-    for (auto& t : clients) t.join();
-  }
-
-  // Bit-identity audit: replay a sample of cached answers on a FRESH
-  // single-threaded server over an identically-seeded chain. Forcing
-  // target=0 with max_reps = the canonical rep count makes the fresh
-  // server run exactly those replications in one shot; the estimate must
-  // match the concurrently cache-assembled one bit for bit.
-  bool bit_identical = true;
-  {
-    mde::simsql::MarkovChainDb fresh_db = MakeDemoDb();
-    Server fresh(fresh_db, opts);
-    if (!fresh.AddQuery(PortfolioValueQuery()).ok() ||
-        !fresh.Start().ok()) {
-      return 1;
-    }
-    for (int phase = 1; phase < flags.phases; ++phase) {
-      if (!fresh.AdvanceVersion().ok()) return 1;
-    }
-    auto auditor = fresh.OpenSession("audit");
-    size_t audited = 0;
-    for (const auto& [key, want] : canonical) {
-      if (audited % 3 != 0) {  // sample every third (shape, version)
-        ++audited;
-        continue;
-      }
-      ++audited;
-      Request req = shapes[key.first];
-      req.version = key.second;
-      req.target_half_width = 0.0;
-      req.max_reps = want.reps;
-      auto r = auditor->Execute(req);
-      if (!r.ok() ||
-          std::memcmp(&r.value().estimate, &want.estimate,
-                      sizeof(double)) != 0 ||
-          std::memcmp(&r.value().half_width, &want.half_width,
-                      sizeof(double)) != 0) {
-        bit_identical = false;
-        std::fprintf(stderr,
-                     "audit mismatch: shape=%zu version=%llu\n", key.first,
-                     static_cast<unsigned long long>(key.second));
-      }
-    }
-  }
-
-  const double hit_rate =
-      total.load() > 0
-          ? static_cast<double>(hits.load()) / static_cast<double>(total.load())
-          : 0.0;
-  const double hit_p50 = PercentileUs(&hit_ns, 0.50);
-  const double hit_p99 = PercentileUs(&hit_ns, 0.99);
-  const double miss_p50 = PercentileUs(&miss_ns, 0.50);
-  const mde::serve::CacheStats cs = server.cache().stats();
-
-  FILE* out = std::fopen(flags.out.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "mde_serve: cannot write %s\n", flags.out.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n");
-  std::fprintf(out,
-               "  \"description\": \"Closed-loop multi-session serving "
-               "bench: %d sessions x %d requests x %d phases over %d "
-               "request shapes (zipf-mixed); chain advances one version "
-               "per phase. Acceptance: hit_rate >= 0.9, zero precision "
-               "violations, cached answers bit-identical to a fresh "
-               "single-threaded run. Gated by ci/check_bench_serve.py.\",\n",
-               flags.sessions, flags.requests, flags.phases, flags.shapes);
-  std::fprintf(out, "  \"sessions\": %d,\n", flags.sessions);
-  std::fprintf(out, "  \"requests_per_session_per_phase\": %d,\n",
-               flags.requests);
-  std::fprintf(out, "  \"phases\": %d,\n", flags.phases);
-  std::fprintf(out, "  \"shapes\": %d,\n", flags.shapes);
-  std::fprintf(out, "  \"total_requests\": %llu,\n",
-               static_cast<unsigned long long>(total.load()));
-  std::fprintf(out, "  \"hit_rate\": %.6f,\n", hit_rate);
-  std::fprintf(out, "  \"pure_hits\": %llu,\n",
-               static_cast<unsigned long long>(cs.pure_hits));
-  std::fprintf(out, "  \"topups\": %llu,\n",
-               static_cast<unsigned long long>(cs.topups));
-  std::fprintf(out, "  \"misses\": %llu,\n",
-               static_cast<unsigned long long>(cs.misses));
-  std::fprintf(out, "  \"reps_run\": %llu,\n",
-               static_cast<unsigned long long>(cs.reps_run));
-  std::fprintf(out, "  \"reps_saved\": %llu,\n",
-               static_cast<unsigned long long>(cs.reps_saved));
-  std::fprintf(out, "  \"hit_p50_us\": %.3f,\n", hit_p50);
-  std::fprintf(out, "  \"hit_p99_us\": %.3f,\n", hit_p99);
-  std::fprintf(out, "  \"miss_p50_us\": %.3f,\n", miss_p50);
-  std::fprintf(out, "  \"precision_violations\": %llu,\n",
-               static_cast<unsigned long long>(precision_violations.load()));
-  std::fprintf(out, "  \"cross_session_consistent\": %s,\n",
-               consistent.load() ? "true" : "false");
-  std::fprintf(out, "  \"bit_identical\": %s\n",
-               bit_identical ? "true" : "false");
-  std::fprintf(out, "}\n");
-  std::fclose(out);
-
-  std::printf(
-      "bench: %llu requests, hit_rate=%.3f, hit_p50=%.1fus "
-      "miss_p50=%.1fus, violations=%llu, bit_identical=%s -> %s\n",
-      static_cast<unsigned long long>(total.load()), hit_rate, hit_p50,
-      miss_p50, static_cast<unsigned long long>(precision_violations.load()),
-      bit_identical ? "yes" : "NO", flags.out.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) return 2;
   mde::obs::DiagServer::MaybeStartFromEnv();
-  return flags.bench ? RunBench(flags) : RunDemo(flags);
+  return RunDemo(flags);
 }
