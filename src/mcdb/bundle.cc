@@ -125,10 +125,7 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
     out->det_rows_ = det_rows_;
     out->stoch_ = stoch_;
   } else {
-    // reserve + tail-insert rather than resize + overwrite: the gather
-    // output is written exactly once, so value-initializing it first would
-    // double the first-touch traffic on the largest allocation in the
-    // filter pipeline.
+    // reserve + tail-insert: the gather output is written exactly once.
     out->det_rows_.reserve(m);
     for (size_t k = 0; k < stoch_.size(); ++k) {
       out->stoch_[k]->reserve(m * num_reps_);
@@ -208,6 +205,7 @@ Result<BundleTable> BundleTable::FilterStoch(const std::string& attr,
   out.pool_ = pool_;
   const size_t n = num_rows();
   const double* block = stoch_[k]->data();
+  // Not zeroed: FilterMaskKernel writes every row's every mask word.
   AlignedVector<uint64_t> new_active(active_.size());
   std::vector<uint8_t> any(n, 0);
   // table::CmpOp and simd::Cmp enumerate the six comparisons in the same
@@ -242,6 +240,7 @@ Result<BundleTable> BundleTable::MapStoch(
   // any later mutation).
   for (size_t k = 0; k < num_k; ++k) out.stoch_[k] = stoch_[k];
   out.active_ = active_;
+  // Not zeroed: the chunk loop writes every (row, rep) value.
   out.stoch_[num_k]->resize(n * num_reps_);
   double* computed = out.stoch_[num_k]->data();
   RunRowChunks(n, [&](size_t, size_t begin, size_t end) {
@@ -438,21 +437,10 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
     return Status::Unimplemented(
         "tuple bundles require single-column VG output");
   }
-  // Deterministic parameter bindings are computed once; only the VG calls
-  // are repeated per repetition.
-  DatabaseInstance det_only;
-  {
-    MDE_ASSIGN_OR_RETURN(DatabaseInstance any, db.Instantiate(seed, 0));
-    // Keep only deterministic tables for parameter binding.
-    for (const auto& [name, t] : any) {
-      if (db.FindTable(name) != nullptr) det_only.emplace(name, t);
-    }
-  }
-  // Row access is a lazy const-cache (table.h: an unmaterialized Table
-  // must not be shared across threads), so force materialization of every
-  // table the chunk workers will touch while still on the driver.
-  (void)outer->rows();
-  for (auto& [det_name, det_table] : det_only) (void)det_table.rows();
+  // VG parameters bind against the database's own deterministic tables,
+  // uncopied. Their row caches are LazySlots (table.h), so the chunk
+  // workers may first-touch them concurrently.
+  const DatabaseInstance& det = db.deterministic_tables();
   // Output row j realizes outer row `keep[j]` (or j when keep is null):
   // rows a pre-generation filter eliminated never bind parameters and
   // never touch their VG substream.
@@ -463,6 +451,9 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
   BundleTable out(outer->schema(), {attr_name}, num_reps);
   out.pool_ = pool;
   out.det_rows_.resize(n);
+  // Left uninitialized (AlignedVector's resize does not zero): chunk_fn
+  // writes every value, so the pool workers first-touch the block in
+  // parallel. On error the block is dropped unread.
   out.stoch_[0]->resize(n * num_reps);
   // All rows start active in every repetition; padding bits stay zero.
   out.active_.assign(n * out.words_per_row_, ~0ULL);
@@ -488,7 +479,7 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
       if (failed.load(std::memory_order_relaxed)) return;
       const size_t i = keep != nullptr ? (*keep)[j] : j;
       const table::Row& outer_row = outer->row(i);
-      auto params_r = spec.param_binder(outer_row, det_only);
+      auto params_r = spec.param_binder(outer_row, det);
       if (!params_r.ok()) {
         record_error(params_r.status());
         return;

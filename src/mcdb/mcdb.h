@@ -53,6 +53,12 @@ class MonteCarloDb {
 
   const table::Table* FindTable(const std::string& name) const;
 
+  /// The registered deterministic tables, by name (no copy). What a spec's
+  /// param_binder sees when bundles are generated.
+  const DatabaseInstance& deterministic_tables() const {
+    return deterministic_;
+  }
+
   /// Realizes all stochastic tables using replication substream `rep` of
   /// `seed`, returning the deterministic tables plus realized stochastic
   /// tables.

@@ -267,6 +267,9 @@ std::shared_ptr<const Column> GatherColumn(const Column& c,
   out->type = c.type;
   const size_t n = sel.size();
   out->size = n;
+  // The typed block is sized without zeroing (AlignedVector): the chunk
+  // loop below writes every slot, so the workers first-touch it. Only the
+  // validity bitmap, which is OR-ed into, starts from explicit zeros.
   switch (c.type) {
     case DataType::kInt64:
       out->i64.resize(n);

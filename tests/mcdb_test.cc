@@ -481,5 +481,40 @@ TEST(PregenTest, AggregatesMatchBetweenPushdownAndFilter) {
   }
 }
 
+/// A binder that fails on one row fails the whole generation with that
+/// row's Status, at every thread count and with or without pushdown: the
+/// partly written (and never zeroed) value block is dropped, not returned.
+TEST(PregenTest, BinderErrorPropagatesAtEveryThreadCount) {
+  MonteCarloDb db = MakeSbpDb(120.0, 15.0, 700);  // > 2 chunks of 256 rows
+  StochasticTableSpec spec = db.stochastic_specs()[0];
+  spec.param_binder = [](const Row& outer, const DatabaseInstance& det)
+      -> Result<Row> {
+    if (outer[0].AsInt() == 600) {  // an "F" row in the third chunk
+      return Status::InvalidArgument("no parameters for PID 600");
+    }
+    const Table& param = det.at("SBP_PARAM");
+    return Row{param.row(0)[0], param.row(0)[1]};
+  };
+  auto expect_error = [](const Result<BundleTable>& r,
+                         const std::string& what) {
+    ASSERT_FALSE(r.ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
+    EXPECT_EQ(r.status().message(), "no parameters for PID 600") << what;
+  };
+  const std::vector<table::PlanPredicate> keep_f = {
+      {"GENDER", CmpOp::kEq, Value("F")}};
+  expect_error(GenerateBundles(db, spec, "SBP", 70, 3), "serial generate");
+  expect_error(GenerateBundlesWhere(db, spec, "SBP", 70, 3, keep_f),
+               "serial pushdown");
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    ThreadPool pool(threads);
+    const std::string t = " threads=" + std::to_string(threads);
+    expect_error(GenerateBundles(db, spec, "SBP", 70, 3, &pool),
+                 "generate" + t);
+    expect_error(GenerateBundlesWhere(db, spec, "SBP", 70, 3, keep_f, &pool),
+                 "pushdown" + t);
+  }
+}
+
 }  // namespace
 }  // namespace mde::mcdb

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/aligned.h"
 #include "util/distributions.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -385,6 +386,64 @@ TEST(ConfidenceTest, HalfWidthIsInfiniteBelowTwoDraws) {
   s.Add(5.0);
   // n = 2: z * s / sqrt(n) with s = sqrt(2), so z * 1.
   EXPECT_NEAR(ConfidenceHalfWidth(s, 0.95), NormalQuantile(0.975), 1e-12);
+}
+
+TEST(AlignedAllocatorTest, HugeBlocksAre2MiBAlignedSmallOnes64) {
+  const size_t huge_doubles = kHugePageBytes / sizeof(double);
+  for (size_t n : {size_t{1}, size_t{1000}, huge_doubles - 1}) {
+    AlignedVector<double> v;
+    v.reserve(n);
+    EXPECT_TRUE(IsAligned(v.data(), 64)) << n;
+  }
+  for (size_t n : {huge_doubles, huge_doubles + 1, 3 * huge_doubles}) {
+    AlignedVector<double> v;
+    v.reserve(n);
+    EXPECT_TRUE(IsAligned(v.data(), kHugePageBytes)) << n;
+  }
+  AlignedVector<uint8_t> bytes;
+  bytes.reserve(kHugePageBytes);
+  EXPECT_TRUE(IsAligned(bytes.data(), kHugePageBytes));
+}
+
+TEST(AlignedAllocatorTest, PushBackAcrossHugeThresholdKeepsContents) {
+  // Growth reallocates from 64-aligned blocks into 2 MiB-aligned ones and
+  // frees each old block through its own path; ASan checks the pairing.
+  const uint64_t n = 2 * kHugePageBytes / sizeof(uint64_t) + 3;
+  AlignedVector<uint64_t> v;
+  for (uint64_t i = 0; i < n; ++i) v.push_back(i * 0x9e3779b97f4a7c15ULL);
+  ASSERT_EQ(v.size(), n);
+  EXPECT_TRUE(IsAligned(v.data(), kHugePageBytes));
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSERT_EQ(v[i], i * 0x9e3779b97f4a7c15ULL) << i;
+  }
+  v.resize(10);
+  v.shrink_to_fit();
+  EXPECT_TRUE(IsAligned(v.data(), 64));
+  EXPECT_EQ(v[9], 9 * 0x9e3779b97f4a7c15ULL);
+}
+
+TEST(AlignedAllocatorTest, ValueFillsStillFill) {
+  // resize(n) does not zero, but every write that passes a value does.
+  const size_t big = kHugePageBytes / sizeof(double) + 5;
+  for (size_t n : {size_t{7}, big}) {
+    AlignedVector<double> ctor(n, 2.5);
+    AlignedVector<double> resized;
+    resized.resize(n, 2.5);
+    AlignedVector<double> assigned(3, -1.0);
+    assigned.assign(n, 2.5);
+    for (const auto* v : {&ctor, &resized, &assigned}) {
+      ASSERT_EQ(v->size(), n);
+      EXPECT_TRUE(std::all_of(v->begin(), v->end(),
+                              [](double x) { return x == 2.5; }))
+          << n;
+    }
+    AlignedVector<uint64_t> zeros(5, 1);
+    zeros.resize(n, 0);
+    EXPECT_EQ(zeros[4], 1u);
+    EXPECT_TRUE(std::all_of(zeros.begin() + 5, zeros.end(),
+                            [](uint64_t x) { return x == 0; }))
+        << n;
+  }
 }
 
 // Property sweep: sample means of several distributions match analytic
