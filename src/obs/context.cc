@@ -32,6 +32,14 @@ bool AttrEnabledDefault() {
 
 std::atomic<bool> g_attr_enabled{AttrEnabledDefault()};
 
+void ZeroStats(QueryStats& q) {
+  for (std::atomic<uint64_t>* f :
+       {&q.cpu_ns, &q.tasks, &q.spans, &q.rows_in, &q.rows_out, &q.vg_draws,
+        &q.bundle_bytes, &q.cache_hits}) {
+    f->store(0, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
 const Context& CurrentContext() { return tls_context; }
@@ -49,7 +57,16 @@ namespace internal {
 Context& MutableCurrentContext() { return tls_context; }
 
 uint64_t NextId() {
-  return g_next_id.fetch_add(1, std::memory_order_relaxed);
+  // Ids are handed out in per-thread blocks: one shared fetch_add per
+  // kIdBlock ids, so concurrent scopes do not bounce one counter's line.
+  constexpr uint64_t kIdBlock = 1024;
+  thread_local uint64_t next = 0;
+  thread_local uint64_t end = 0;
+  if (next == end) {
+    next = g_next_id.fetch_add(kIdBlock, std::memory_order_relaxed);
+    end = next + kIdBlock;
+  }
+  return next++;
 }
 
 uint64_t ExchangeChildNs(uint64_t v) {
@@ -171,11 +188,34 @@ AttributionTable& AttributionTable::Global() {
 }
 
 QueryStats* AttributionTable::Acquire(uint64_t fingerprint, const char* tag) {
+  // Per-thread memo, direct-mapped on the fingerprint; one filled at the
+  // current generation still names the fingerprint's slot.
+  struct Memo {
+    uint64_t fingerprint = 0;
+    uint64_t generation = 0;
+    Entry* entry = nullptr;
+  };
+  constexpr size_t kMemoSlots = 8;
+  thread_local Memo memo[kMemoSlots];
+  Memo& m = memo[fingerprint % kMemoSlots];
+  if (m.entry != nullptr && m.fingerprint == fingerprint &&
+      m.generation == generation_.load(std::memory_order_acquire)) {
+    // Recency ties with the latest locked acquire; stored only if stale.
+    const uint64_t now = acquire_epoch_.load(std::memory_order_relaxed);
+    if (m.entry->last_acquire.load(std::memory_order_relaxed) != now) {
+      m.entry->last_acquire.store(now, std::memory_order_relaxed);
+    }
+    return &m.entry->stats;
+  }
+
   std::lock_guard<std::mutex> lock(mu_);
-  ++acquire_epoch_;
+  const uint64_t now =
+      acquire_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
   auto it = by_fp_.find(fingerprint);
   if (it != by_fp_.end()) {
-    it->second->last_acquire = acquire_epoch_;
+    it->second->last_acquire.store(now, std::memory_order_relaxed);
+    m = {fingerprint, generation_.load(std::memory_order_relaxed),
+         it->second};
     return &it->second->stats;
   }
   Entry* e = nullptr;
@@ -194,27 +234,25 @@ QueryStats* AttributionTable::Acquire(uint64_t fingerprint, const char* tag) {
     // memory).
     auto victim = by_fp_.begin();
     for (auto cand = by_fp_.begin(); cand != by_fp_.end(); ++cand) {
-      if (cand->second->last_acquire < victim->second->last_acquire) {
+      if (cand->second->last_acquire.load(std::memory_order_relaxed) <
+          victim->second->last_acquire.load(std::memory_order_relaxed)) {
         victim = cand;
       }
     }
     e = victim->second;
     by_fp_.erase(victim);
+    // Invalidates every thread's memo. A memo hit racing this eviction
+    // returns the recycled slot: the bounded misattribution above.
+    generation_.fetch_add(1, std::memory_order_release);
     ++evictions_;
     MDE_OBS_COUNT("attr.evictions", 1);
-    e->stats.cpu_ns.store(0, std::memory_order_relaxed);
-    e->stats.tasks.store(0, std::memory_order_relaxed);
-    e->stats.spans.store(0, std::memory_order_relaxed);
-    e->stats.rows_in.store(0, std::memory_order_relaxed);
-    e->stats.rows_out.store(0, std::memory_order_relaxed);
-    e->stats.vg_draws.store(0, std::memory_order_relaxed);
-    e->stats.bundle_bytes.store(0, std::memory_order_relaxed);
-    e->stats.cache_hits.store(0, std::memory_order_relaxed);
+    ZeroStats(e->stats);
   }
   e->fingerprint = fingerprint;
   e->tag = tag != nullptr ? tag : "";
-  e->last_acquire = acquire_epoch_;
+  e->last_acquire.store(now, std::memory_order_relaxed);
   by_fp_[fingerprint] = e;
+  m = {fingerprint, generation_.load(std::memory_order_relaxed), e};
   return &e->stats;
 }
 
@@ -257,6 +295,7 @@ uint64_t AttributionTable::evictions() const {
 
 void AttributionTable::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
+  generation_.fetch_add(1, std::memory_order_release);
   by_fp_.clear();
   free_slots_.clear();
   for (auto& slot : slots_) {
@@ -265,17 +304,10 @@ void AttributionTable::Reset() {
   for (auto& slot : slots_) {
     slot->fingerprint = 0;
     slot->tag.clear();
-    slot->last_acquire = 0;
-    slot->stats.cpu_ns.store(0, std::memory_order_relaxed);
-    slot->stats.tasks.store(0, std::memory_order_relaxed);
-    slot->stats.spans.store(0, std::memory_order_relaxed);
-    slot->stats.rows_in.store(0, std::memory_order_relaxed);
-    slot->stats.rows_out.store(0, std::memory_order_relaxed);
-    slot->stats.vg_draws.store(0, std::memory_order_relaxed);
-    slot->stats.bundle_bytes.store(0, std::memory_order_relaxed);
-    slot->stats.cache_hits.store(0, std::memory_order_relaxed);
+    slot->last_acquire.store(0, std::memory_order_relaxed);
+    ZeroStats(slot->stats);
   }
-  acquire_epoch_ = 0;
+  acquire_epoch_.store(0, std::memory_order_relaxed);
   evictions_ = 0;
 }
 

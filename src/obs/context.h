@@ -94,6 +94,8 @@ namespace internal {
 /// Mutable access for SpanGuard's parent-span bookkeeping.
 Context& MutableCurrentContext();
 /// Process-unique nonzero id (trace and span ids share the sequence).
+/// Handed out from per-thread blocks, so ids are unique but not ordered
+/// across threads.
 uint64_t NextId();
 /// Same-thread child-wall-time ledger used by the timed scopes.
 uint64_t ExchangeChildNs(uint64_t v);
@@ -156,6 +158,9 @@ class QueryScope {
 /// cardinality pressure, by design: the table can never grow without bound
 /// no matter how many distinct queries a serving process sees. Evictions
 /// are counted on `attr.evictions`.
+/// Repeat acquires skip the mutex through a per-thread fingerprint -> slot
+/// memo, valid while the table generation (bumped by eviction and Reset)
+/// is unchanged.
 class AttributionTable {
  public:
   static AttributionTable& Global();
@@ -193,7 +198,7 @@ class AttributionTable {
   struct Entry {
     uint64_t fingerprint = 0;
     std::string tag;
-    uint64_t last_acquire = 0;
+    std::atomic<uint64_t> last_acquire{0};  // acquire_epoch_ at last use
     QueryStats stats;
   };
 
@@ -205,7 +210,8 @@ class AttributionTable {
   /// populated by Reset); reused before allocating or evicting.
   std::vector<Entry*> free_slots_;
   std::map<uint64_t, Entry*> by_fp_;
-  uint64_t acquire_epoch_ = 0;
+  std::atomic<uint64_t> acquire_epoch_{0};  // written under mu_
+  std::atomic<uint64_t> generation_{0};     // written under mu_
   uint64_t evictions_ = 0;
 };
 

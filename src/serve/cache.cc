@@ -38,28 +38,43 @@ Result<ResultCache::FetchResult> ResultCache::Fetch(
   if (min_reps < 2) min_reps = 2;  // a CLT bound needs n >= 2
   if (max_reps < min_reps) max_reps = min_reps;
 
+  FetchResult out;
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
+    if (it != map_.end()) {
+      ReadHit(*it->second, target_half_width, min_reps, max_reps, &out);
+      if (out.pure_hit) Touch(*it->second);
+    }
+  }
+  if (out.pure_hit) {
+    Count(out, out.reps);
+    return out;
+  }
+
+  // Slow path (miss, top-up, or a torn read), decided under the entry mutex.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
     if (it == map_.end()) {
+      // One epoch reading for the insert and the eviction scan, so an
+      // AdvanceEpoch in between cannot make the new entry look stale.
+      const uint64_t now = epoch_.load(std::memory_order_relaxed);
       entry = std::make_shared<Entry>();
-      entry->last_touch_epoch = epoch_;
+      entry->last_touch_epoch.store(now, std::memory_order_relaxed);
       map_.emplace(key, entry);
-      counters_.entries = map_.size();
-      counters_.bytes = map_.size() * kEntryBytes;
-      EvictIfNeededLocked();
+      EvictIfNeededLocked(now);
     } else {
       entry = it->second;
-      it->second->last_touch_epoch = epoch_;
+      Touch(*entry);
     }
   }
 
-  // Per-entry critical section: every concurrent session asking for this
+  // Per-entry critical section: every concurrent session topping up this
   // key queues here, so each replication index is computed exactly once.
   std::lock_guard<std::mutex> entry_lock(entry->mu);
   const uint64_t cached_reps = entry->stat.count();
-  FetchResult out;
   while (entry->stat.count() < max_reps &&
          (entry->stat.count() < min_reps ||
           HalfWidth(entry->stat, opts_.z) > target_half_width)) {
@@ -67,45 +82,88 @@ Result<ResultCache::FetchResult> ResultCache::Fetch(
     // single session running reps 0..n-1 itself (no parallel Merge — the
     // merge order would differ from the sequential order).
     Result<double> draw = rep_fn(entry->stat.count());
-    if (!draw.ok()) return draw.status();
+    if (!draw.ok()) return draw.status();  // reps so far are published
     entry->stat.Add(draw.value());
+    Publish(*entry);  // a looser request can hit on the partial top-up
     ++out.reps_added;
   }
   out.estimate = entry->stat.mean();
   out.half_width = HalfWidth(entry->stat, opts_.z);
   out.reps = entry->stat.count();
   out.pure_hit = out.reps_added == 0;
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (out.pure_hit) {
-      ++counters_.pure_hits;
-    } else if (cached_reps > 0) {
-      ++counters_.topups;
-    } else {
-      ++counters_.misses;
-    }
-    counters_.reps_run += out.reps_added;
-    counters_.reps_saved += cached_reps;
-    PublishGauges();
-  }
-  if (out.pure_hit) {
-    MDE_OBS_ATTR_ADD(cache_hits, 1);
-  }
+  Count(out, cached_reps);
   return out;
 }
 
+void ResultCache::Publish(Entry& e) const {
+  // Writers are serialized by e.mu. The release stores of the data pair
+  // with ReadHit's acquire loads, so a reader that sees any new word also
+  // sees the odd `seq` written before it, and rejects the read.
+  const uint64_t seq = e.seq.load(std::memory_order_relaxed);
+  e.seq.store(seq + 1, std::memory_order_relaxed);
+  e.n.store(e.stat.count(), std::memory_order_release);
+  e.mean.store(e.stat.mean(), std::memory_order_release);
+  e.half_width.store(HalfWidth(e.stat, opts_.z), std::memory_order_release);
+  e.seq.store(seq + 2, std::memory_order_release);
+}
+
+void ResultCache::ReadHit(const Entry& e, double target_half_width,
+                          uint64_t min_reps, uint64_t max_reps,
+                          FetchResult* out) {
+  const uint64_t seq = e.seq.load(std::memory_order_acquire);
+  out->reps = e.n.load(std::memory_order_acquire);
+  out->estimate = e.mean.load(std::memory_order_acquire);
+  out->half_width = e.half_width.load(std::memory_order_acquire);
+  // Not torn (no top-up publishing meanwhile), and the negation of Fetch's
+  // top-up loop condition.
+  out->pure_hit =
+      (seq & 1) == 0 && e.seq.load(std::memory_order_relaxed) == seq &&
+      out->reps >= min_reps &&
+      (out->reps >= max_reps || out->half_width <= target_half_width);
+}
+
+void ResultCache::Touch(Entry& e) const {
+  // Stored only when stale: a hot key's line stays shared between readers.
+  const uint64_t now = epoch_.load(std::memory_order_relaxed);
+  if (e.last_touch_epoch.load(std::memory_order_relaxed) != now) {
+    e.last_touch_epoch.store(now, std::memory_order_relaxed);
+  }
+}
+
+void ResultCache::Count(const FetchResult& out, uint64_t cached_reps) {
+  if (out.pure_hit) {
+    pure_hits_.Add();
+    MDE_OBS_COUNT("serve.cache.pure_hits", 1);
+    MDE_OBS_ATTR_ADD(cache_hits, 1);
+  } else if (cached_reps > 0) {
+    topups_.Add();
+  } else {
+    misses_.Add();
+  }
+  if (out.reps_added > 0) reps_run_.Add(out.reps_added);
+  reps_saved_.Add(cached_reps);
+  MDE_OBS_COUNT("serve.cache.reps_saved", cached_reps);
+}
+
 void ResultCache::AdvanceEpoch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++epoch_;
+  epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
 CacheStats ResultCache::stats() const {
+  CacheStats s;
+  s.pure_hits = pure_hits_.Value();
+  s.topups = topups_.Value();
+  s.misses = misses_.Value();
+  s.reps_run = reps_run_.Value();
+  s.reps_saved = reps_saved_.Value();
   std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
+  s.evictions = evictions_;
+  s.entries = map_.size();
+  s.bytes = map_.size() * kEntryBytes;
+  return s;
 }
 
-void ResultCache::EvictIfNeededLocked() {
+void ResultCache::EvictIfNeededLocked(uint64_t now) {
   const size_t budget_entries =
       opts_.max_bytes < kEntryBytes ? 1 : opts_.max_bytes / kEntryBytes;
   while (map_.size() > budget_entries) {
@@ -116,7 +174,8 @@ void ResultCache::EvictIfNeededLocked() {
     auto victim = map_.end();
     uint64_t victim_age = 0;
     for (auto it = map_.begin(); it != map_.end(); ++it) {
-      const uint64_t age = epoch_ - it->second->last_touch_epoch;
+      const uint64_t age =
+          now - it->second->last_touch_epoch.load(std::memory_order_relaxed);
       if (age > 0 && (victim == map_.end() || age > victim_age)) {
         victim = it;
         victim_age = age;
@@ -124,22 +183,13 @@ void ResultCache::EvictIfNeededLocked() {
     }
     if (victim == map_.end()) break;  // everything is current-epoch
     map_.erase(victim);
-    ++counters_.evictions;
+    ++evictions_;
     MDE_OBS_COUNT("serve.cache.evictions", 1);
   }
-  counters_.entries = map_.size();
-  counters_.bytes = map_.size() * kEntryBytes;
-}
-
-void ResultCache::PublishGauges() const {
-  MDE_OBS_GAUGE_SET("serve.cache.entries",
-                    static_cast<double>(counters_.entries));
+  // Entries and bytes change only here, after an insert.
+  MDE_OBS_GAUGE_SET("serve.cache.entries", static_cast<double>(map_.size()));
   MDE_OBS_GAUGE_SET("serve.cache.bytes",
-                    static_cast<double>(counters_.bytes));
-  MDE_OBS_GAUGE_SET("serve.cache.pure_hits",
-                    static_cast<double>(counters_.pure_hits));
-  MDE_OBS_GAUGE_SET("serve.cache.reps_saved",
-                    static_cast<double>(counters_.reps_saved));
+                    static_cast<double>(map_.size() * kEntryBytes));
 }
 
 }  // namespace mde::serve

@@ -1,6 +1,7 @@
 #ifndef MDE_SERVE_CACHE_H_
 #define MDE_SERVE_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -9,6 +10,7 @@
 #include <string>
 #include <unordered_map>
 
+#include "obs/metrics.h"
 #include "obs/stat.h"
 #include "util/status.h"
 
@@ -30,6 +32,14 @@
 /// cache-assembled answer at n reps is bit-identical to a fresh session
 /// running reps 0..n-1 itself. A per-entry mutex serializes top-ups: each
 /// replication index is computed exactly once per key, process-wide.
+///
+/// Hit protocol: after every Add an entry PUBLISHES (n, mean, half-width)
+/// through a seqlock written only by the holder of its mutex. A request is
+/// checked against that answer in one short critical section of the index
+/// mutex — no entry lock, no shared_ptr copy — so a hit never waits behind
+/// a top-up of the same key; a torn read is just not a hit. Misses and
+/// top-ups re-find under the index mutex, then take the entry mutex (lock
+/// order index -> entry). Counters are thread-sharded.
 ///
 /// Keys include the database version (serve/mvcc.h), so advancing the chain
 /// naturally starts new entries; old-version entries age out via the
@@ -116,17 +126,33 @@ class ResultCache {
   struct Entry {
     std::mutex mu;       // serializes top-ups for this key
     obs::Welford stat;   // guarded by mu
-    uint64_t last_touch_epoch = 0;  // guarded by the cache mutex
+    std::atomic<uint64_t> last_touch_epoch{0};
+    // Published answer of `stat`; `seq` is odd while it is rewritten.
+    std::atomic<uint64_t> seq{0};
+    std::atomic<uint64_t> n{0};
+    std::atomic<double> mean{0.0};
+    std::atomic<double> half_width{0.0};
   };
 
-  void EvictIfNeededLocked();
-  void PublishGauges() const;  // requires mu_ (reads counters_)
+  void Publish(Entry& e) const;  // requires e.mu
+  /// Fills `out` from e's published answer without the entry lock;
+  /// out->pure_hit says whether that answer satisfies the request.
+  static void ReadHit(const Entry& e, double target_half_width,
+                      uint64_t min_reps, uint64_t max_reps, FetchResult* out);
+  void Touch(Entry& e) const;  // requires mu_
+  void Count(const FetchResult& out, uint64_t cached_reps);
+  void EvictIfNeededLocked(uint64_t now);
 
   const Options opts_;
-  mutable std::mutex mu_;  // guards map_, epoch_, counters_
+  mutable std::mutex mu_;  // guards map_ and evictions_
   std::unordered_map<CacheKey, std::shared_ptr<Entry>, CacheKeyHash> map_;
-  uint64_t epoch_ = 0;
-  CacheStats counters_;
+  std::atomic<uint64_t> epoch_{0};
+  uint64_t evictions_ = 0;
+  obs::Counter pure_hits_;
+  obs::Counter topups_;
+  obs::Counter misses_;
+  obs::Counter reps_run_;
+  obs::Counter reps_saved_;
 };
 
 }  // namespace mde::serve

@@ -44,6 +44,7 @@ uint64_t VersionChain::Install(simsql::DatabaseState state) {
   v.state = std::move(state);
   if (!nodes_.empty()) nodes_.back()->retire_epoch = epoch;
   nodes_.push_back(std::make_shared<SnapshotRef::Node>(std::move(v)));
+  head_.store(next_number_ - 1, std::memory_order_release);
   ReclaimLocked();
   MDE_OBS_GAUGE_SET("serve.mvcc.live_versions",
                     static_cast<double>(nodes_.size()));
@@ -67,11 +68,6 @@ SnapshotRef VersionChain::Pin(uint64_t number) {
     }
   }
   return SnapshotRef();
-}
-
-uint64_t VersionChain::head_version() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return nodes_.empty() ? kNone : nodes_.back()->version.number;
 }
 
 size_t VersionChain::live_versions() const {

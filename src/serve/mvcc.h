@@ -27,6 +27,9 @@
 /// looked up the head version number but have not pinned yet — Pin and
 /// Install serialize on the chain mutex, so the window only needs to cover
 /// versions, not instructions).
+/// The head number is also published in an atomic: a serving head request
+/// keys on head_version() and pins only when a replication runs (so a hit
+/// never pins), retrying on the new head if Pin finds it reclaimed.
 namespace mde::serve {
 
 /// One installed, immutable database version.
@@ -102,8 +105,11 @@ class VersionChain {
   SnapshotRef Pin(uint64_t number);
 
   /// Number of the newest installed version; kNone before any install.
+  /// Lock-free: Install publishes it with release ordering.
   static constexpr uint64_t kNone = ~0ull;
-  uint64_t head_version() const;
+  uint64_t head_version() const {
+    return head_.load(std::memory_order_acquire);
+  }
 
   /// Currently resident (installed, not yet reclaimed) versions.
   size_t live_versions() const;
@@ -120,6 +126,7 @@ class VersionChain {
   /// Oldest first; guarded by mu_. shared_ptr so a pinned node outlives
   /// its removal from the deque (and the chain itself).
   std::deque<std::shared_ptr<SnapshotRef::Node>> nodes_;
+  std::atomic<uint64_t> head_{kNone};
   std::atomic<uint64_t> epoch_{0};
   std::atomic<uint64_t> reclaimed_{0};
   uint64_t next_number_ = 0;  // guarded by mu_

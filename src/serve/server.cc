@@ -13,11 +13,6 @@ namespace mde::serve {
 
 namespace {
 
-/// Stable fingerprint of a query name (cache key + attribution).
-uint64_t QueryFingerprint(const std::string& name) {
-  return obs::FingerprintString("serve.query:" + name);
-}
-
 /// Order-independent parameter hash: std::map iterates sorted by name, so
 /// two requests binding the same values hash identically regardless of how
 /// the caller built the map. Doubles are hashed by IEEE-754 payload —
@@ -32,6 +27,32 @@ uint64_t ParamHash(const std::map<std::string, double>& params) {
   }
   return h;
 }
+
+/// What one request's replications need, behind a single pointer so the
+/// rep callback fits std::function's small buffer (no allocation per
+/// request). A head request pins its version lazily, at the first
+/// replication: a cache hit never touches the chain.
+struct RepContext {
+  VersionChain* chain = nullptr;
+  const McQuerySpec* spec = nullptr;
+  const std::map<std::string, double>* params = nullptr;
+  uint64_t version = 0;
+  uint64_t rep_seed = 0;
+  SnapshotRef snap;
+  bool reclaimed = false;  // `version` was gone before it could be pinned
+
+  Result<double> Run(uint64_t rep) {
+    if (!snap.valid()) {
+      snap = chain->Pin(version);
+      if (!snap.valid()) {
+        reclaimed = true;
+        return Status::FailedPrecondition("serve: head version reclaimed");
+      }
+    }
+    Rng rng = Rng::Substream(rep_seed, rep);
+    return spec->eval(snap.state(), *params, rng);
+  }
+};
 
 }  // namespace
 
@@ -68,7 +89,13 @@ Status Server::AddQuery(McQuerySpec spec) {
   if (spec.name.empty() || !spec.eval) {
     return Status::InvalidArgument("serve: query needs a name and an eval");
   }
-  if (!queries_.emplace(spec.name, spec).second) {
+  std::lock_guard<std::mutex> lock(advance_mu_);
+  if (runner_ != nullptr) {
+    return Status::FailedPrecondition(
+        "serve: AddQuery after Start() (sessions read queries lock-free)");
+  }
+  const uint64_t fp = obs::FingerprintString("serve.query:" + spec.name);
+  if (!queries_.emplace(spec.name, RegisteredQuery{spec, fp}).second) {
     return Status::AlreadyExists("serve: query '" + spec.name +
                                  "' already registered");
   }
@@ -124,40 +151,52 @@ std::shared_ptr<Session> Server::OpenSession(std::string tag) {
 
 Result<Answer> Server::Execute(Session& session, const Request& req) {
   MDE_OBS_QUERY_SCOPE("serve.session", session.fingerprint_);
+  // An explicit version is pinned first; a head request reads the head
+  // number only. A version exists before queries_ is read, so no AddQuery
+  // can still be running.
+  RepContext ctx;
+  ctx.chain = &chain_;
+  ctx.params = &req.params;
+  if (req.version != Request::kHead) {
+    ctx.snap = chain_.Pin(req.version);
+    if (!ctx.snap.valid()) {
+      return Status::FailedPrecondition(
+          "serve: version " + std::to_string(req.version) +
+          " is not resident (never installed, or reclaimed)");
+    }
+  } else if (chain_.head_version() == VersionChain::kNone) {
+    return Status::FailedPrecondition(
+        "serve: no version installed yet (Start() the server)");
+  }
   const auto it = queries_.find(req.query);
   if (it == queries_.end()) {
     return Status::NotFound("serve: no query '" + req.query + "'");
   }
-  SnapshotRef snap = req.version == Request::kHead
-                         ? chain_.PinHead()
-                         : chain_.Pin(req.version);
-  if (!snap.valid()) {
-    return Status::FailedPrecondition(
-        req.version == Request::kHead
-            ? "serve: no version installed yet (Start() the server)"
-            : "serve: version " + std::to_string(req.version) +
-                  " is not resident (never installed, or reclaimed)");
-  }
+  ctx.spec = &it->second.spec;
 
   CacheKey key;
-  key.query_fp = QueryFingerprint(req.query);
+  key.query_fp = it->second.fingerprint;
   key.param_hash = ParamHash(req.params);
-  key.version = snap.version();
-  // Replication i of this key always evaluates with Substream(rep_seed, i):
-  // a pure function of (base seed, key, i). This is what makes an answer
-  // assembled from cached + topped-up reps bit-identical to any single
-  // session running the same reps itself.
-  const uint64_t rep_seed = obs::FingerprintMix(
-      obs::FingerprintMix(obs::FingerprintMix(opts_.seed, key.query_fp),
-                          key.param_hash),
-      key.version);
-  const McQuerySpec& spec = it->second;
-  Result<ResultCache::FetchResult> fetched = cache_.Fetch(
-      key, req.target_half_width, opts_.min_reps, req.max_reps,
-      [&](uint64_t rep) -> Result<double> {
-        Rng rng = Rng::Substream(rep_seed, rep);
-        return spec.eval(snap.state(), req.params, rng);
-      });
+  // A head request whose version was reclaimed before its first
+  // replication could pin it (min_retain newer installs) retries on the
+  // new head.
+  Result<ResultCache::FetchResult> fetched = ResultCache::FetchResult();
+  do {
+    key.version = ctx.snap.valid() ? ctx.snap.version() : chain_.head_version();
+    ctx.version = key.version;
+    ctx.reclaimed = false;
+    // Replication i of this key always evaluates with Substream(rep_seed,
+    // i): a pure function of (base seed, key, i). This is what makes an
+    // answer assembled from cached + topped-up reps bit-identical to any
+    // single session running the same reps itself.
+    ctx.rep_seed = obs::FingerprintMix(
+        obs::FingerprintMix(obs::FingerprintMix(opts_.seed, key.query_fp),
+                            key.param_hash),
+        key.version);
+    fetched = cache_.Fetch(key, req.target_half_width, opts_.min_reps,
+                           req.max_reps,
+                           [c = &ctx](uint64_t rep) { return c->Run(rep); });
+  } while (!fetched.ok() && ctx.reclaimed);
   if (!fetched.ok()) return fetched.status();
 
   Answer answer;

@@ -31,7 +31,8 @@
 ///     Rng for replication i of a key is Substream(derive(seed, key), i),
 ///     a pure function of key and index.
 ///
-/// Sessions are cheap handles carrying a tag and per-session counters;
+/// Sessions are cheap handles carrying a tag and per-session counters (on
+/// their own cache lines: concurrent sessions share no written line);
 /// Session::Execute runs under an obs::QueryScope so /queryz, the profiler,
 /// and the flight recorder attribute work to the session. The Server
 /// exports /sessionz on any running obs::DiagServer via the handler
@@ -81,7 +82,7 @@ class Server;
 /// A client session: a tagged handle over the shared server. Thread-safe
 /// only in the usual session sense — one logical client at a time; distinct
 /// sessions execute fully concurrently.
-class Session {
+class alignas(64) Session {
  public:
   Result<Answer> Execute(const Request& req);
 
@@ -128,7 +129,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Registers a query; name must be unique. Not concurrent with Execute.
+  /// Registers a query; name must be unique. Queries are registered before
+  /// Start(): afterwards sessions read the registry without a lock, so a
+  /// late AddQuery returns FailedPrecondition.
   Status AddQuery(McQuerySpec spec);
 
   /// Realizes and installs version 0. Call once before serving.
@@ -161,8 +164,12 @@ class Server {
   VersionChain chain_;
   ResultCache cache_;
   std::unique_ptr<simsql::ChainRunner> runner_;
-  std::mutex advance_mu_;  // serializes Start/AdvanceVersion
-  std::map<std::string, McQuerySpec> queries_;
+  struct RegisteredQuery {
+    McQuerySpec spec;
+    uint64_t fingerprint = 0;  // computed once, in AddQuery
+  };
+  std::mutex advance_mu_;  // serializes AddQuery/Start/AdvanceVersion
+  std::map<std::string, RegisteredQuery> queries_;  // fixed after Start()
 
   mutable std::mutex sessions_mu_;
   std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_

@@ -407,6 +407,79 @@ TEST(ObsContextTest, AttributionTableBoundedWithEviction) {
   EXPECT_EQ(table.evictions(), ev);
 }
 
+TEST(ObsContextTest, MemoizedSlotReacquiredAfterAnotherThreadsFlood) {
+  obs::AttributionTable& table = obs::AttributionTable::Global();
+  table.Reset();
+  const auto row_for = [&table](uint64_t fp) {
+    for (const auto& row : table.Snapshot()) {
+      if (row.fingerprint == fp) return row;
+    }
+    return obs::AttributionTable::Row{};
+  };
+  const auto flood = [] {
+    for (uint64_t fp = 1; fp <= 300; ++fp) {
+      obs::QueryScope scope("test.flood", fp);
+    }
+  };
+  // This thread memoizes 0xa11ce; a second acquire is a memo hit.
+  constexpr uint64_t kFp = 0xa11ce;
+  obs::QueryStats* first = table.Acquire(kFp, "test.memo");
+  const uint64_t evictions = table.evictions();
+  EXPECT_EQ(table.Acquire(kFp, "test.memo"), first);
+  EXPECT_EQ(table.evictions(), evictions);
+  {
+    obs::QueryScope scope("test.memo", kFp);
+    EXPECT_EQ(obs::CurrentContext().stats, first);
+    MDE_OBS_ATTR_ADD(rows_in, 1);
+  }
+  EXPECT_EQ(row_for(kFp).rows_in, 1u);
+
+  // Another thread's flood evicts it and recycles its slot.
+  std::thread(flood).join();
+  EXPECT_EQ(row_for(kFp).fingerprint, 0u) << "flood should evict 0xa11ce";
+
+  // The stale memo must not hand back the recycled slot.
+  {
+    obs::QueryScope scope("test.memo", kFp);
+    MDE_OBS_ATTR_ADD(rows_in, 5);
+  }
+  EXPECT_EQ(row_for(kFp).rows_in, 5u);
+  EXPECT_EQ(row_for(kFp).tag, "test.memo");
+  uint64_t rows_in = 0;
+  for (const auto& row : table.Snapshot()) rows_in += row.rows_in;
+  EXPECT_EQ(rows_in, 5u) << "an addition landed on a flood row";
+
+  // Concurrently: readers re-acquire their own fingerprints through the
+  // memo while a flooder evicts them (run under TSan in CI). Once the flood
+  // is over, each re-acquire must land on its own keyed row.
+  constexpr int kReaders = 3;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&, r] {
+      const uint64_t fp = 0xbee0 + static_cast<uint64_t>(r);
+      while (!stop.load(std::memory_order_acquire)) {
+        obs::QueryScope scope("test.memo", fp);
+        MDE_OBS_ATTR_ADD(rows_in, 1);
+      }
+      obs::QueryScope scope("test.memo", fp);
+      MDE_OBS_ATTR_ADD(rows_out, 1000 + r);
+    });
+  }
+  std::thread flooder([&] {
+    for (int round = 0; round < 3; ++round) flood();
+    stop.store(true, std::memory_order_release);
+  });
+  flooder.join();
+  for (auto& t : readers) t.join();
+  for (int r = 0; r < kReaders; ++r) {
+    const auto row = row_for(0xbee0 + static_cast<uint64_t>(r));
+    EXPECT_EQ(row.tag, "test.memo") << "reader " << r;
+    EXPECT_EQ(row.rows_out, 1000u + static_cast<uint64_t>(r))
+        << "reader " << r;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Worker stats and export surfaces.
 // ---------------------------------------------------------------------------

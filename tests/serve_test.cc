@@ -6,17 +6,22 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <future>
+#include <latch>
 #include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "obs/context.h"
 #include "obs/http.h"
+#include "obs/metrics.h"
 #include "obs/stat.h"
 #include "serve/cache.h"
 #include "serve/mvcc.h"
@@ -406,6 +411,106 @@ TEST(ResultCacheTest, StaleEntriesEvictUnderByteBudget) {
   EXPECT_LE(stats.bytes, opts.max_bytes);
 }
 
+uint64_t Bits(double d) {
+  uint64_t b = 0;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
+TEST(ResultCacheTest, HitNeverWaitsBehindATopUpOfTheSameKey) {
+  ResultCache cache;
+  const auto value = [](uint64_t rep) {
+    Rng rng = Rng::Substream(/*seed=*/31, rep);
+    return 3.0 + rng.NextDouble();
+  };
+  const CacheKey key{7, 7, 7};
+  ASSERT_TRUE(cache
+                  .Fetch(key, kInf, 8, 256,
+                         [&](uint64_t rep) -> Result<double> {
+                           return value(rep);
+                         })
+                  .ok());
+
+  // A tight request tops up and stalls inside replication 20, holding the
+  // entry mutex.
+  std::latch stalled(1);
+  std::latch release(1);
+  std::thread topper([&] {
+    auto r = cache.Fetch(key, /*target=*/0.0, 8, /*max_reps=*/40,
+                         [&](uint64_t rep) -> Result<double> {
+                           if (rep == 20) {
+                             stalled.count_down();
+                             release.wait();
+                           }
+                           return value(rep);
+                         });
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().reps, 40u);
+  });
+  stalled.wait();
+
+  // A looser request on the same key answers from the published partial
+  // top-up without queuing on the entry mutex.
+  std::atomic<int> runs{0};
+  auto loose = std::async(std::launch::async, [&] {
+    return cache.Fetch(key, kInf, 8, 256, [&](uint64_t) -> Result<double> {
+      runs.fetch_add(1);
+      return 0.0;
+    });
+  });
+  const bool answered_at_once =
+      loose.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  release.count_down();
+  topper.join();
+  ASSERT_TRUE(answered_at_once) << "the hit waited behind the top-up";
+  const auto hit = loose.get();
+  ASSERT_TRUE(hit.ok());
+  EXPECT_TRUE(hit.value().pure_hit);
+  EXPECT_EQ(runs.load(), 0);
+  EXPECT_EQ(hit.value().reps, 20u);
+
+  obs::Welford fresh;
+  for (uint64_t i = 0; i < hit.value().reps; ++i) fresh.Add(value(i));
+  EXPECT_EQ(Bits(hit.value().estimate), Bits(fresh.mean()));
+  EXPECT_EQ(Bits(hit.value().half_width),
+            Bits(ResultCache::Options().z * fresh.std_error()));
+}
+
+TEST(ResultCacheTest, ProcessCountersSumOverEveryCache) {
+  const auto counter = [](const std::string& name) -> uint64_t {
+    for (const auto& m : obs::Registry::Global().Snapshot()) {
+      if (m.name == name) {
+        EXPECT_EQ(m.kind, obs::MetricSnapshot::Kind::kCounter) << name;
+        return static_cast<uint64_t>(m.value);
+      }
+    }
+    return 0;
+  };
+  const uint64_t hits_before = counter("serve.cache.pure_hits");
+  const uint64_t saved_before = counter("serve.cache.reps_saved");
+  const ResultCache::RepFn rep_fn = [](uint64_t rep) -> Result<double> {
+    return static_cast<double>(rep % 5);
+  };
+  ResultCache a;
+  ResultCache b;
+  for (uint64_t k = 0; k < 3; ++k) {
+    ASSERT_TRUE(a.Fetch(CacheKey{k, 0, 0}, kInf, 8, 64, rep_fn).ok());
+    ASSERT_TRUE(a.Fetch(CacheKey{k, 0, 0}, kInf, 8, 64, rep_fn).ok());
+  }
+  ASSERT_TRUE(b.Fetch(CacheKey{0, 0, 0}, kInf, 4, 64, rep_fn).ok());
+  ASSERT_TRUE(b.Fetch(CacheKey{0, 0, 0}, 0.0, 4, 16, rep_fn).ok());
+  ASSERT_TRUE(b.Fetch(CacheKey{0, 0, 0}, kInf, 4, 64, rep_fn).ok());
+
+  const serve::CacheStats sa = a.stats();
+  const serve::CacheStats sb = b.stats();
+  EXPECT_EQ(sa.pure_hits, 3u);
+  EXPECT_EQ(sb.pure_hits, 1u);
+  EXPECT_EQ(counter("serve.cache.pure_hits") - hits_before,
+            sa.pure_hits + sb.pure_hits);
+  EXPECT_EQ(counter("serve.cache.reps_saved") - saved_before,
+            sa.reps_saved + sb.reps_saved);
+}
+
 // ---------------------------------------------------------------------------
 // Server + sessions end to end.
 // ---------------------------------------------------------------------------
@@ -710,6 +815,119 @@ TEST(ServeServerTest, HammerReadersWhileWriterAdvances) {
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(server.head_version(), 30u);
+}
+
+TEST(ServeServerTest, AddQueryAfterStartFails) {
+  simsql::MarkovChainDb db = MakePriceDb();
+  Server server(db, Server::Options());
+  ASSERT_TRUE(server.AddQuery(PortfolioValueQuery()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  // Sessions read the query registry without a lock once serving starts.
+  McQuerySpec late = PortfolioValueQuery();
+  late.name = "late";
+  const Status st = server.AddQuery(late);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  Request req;
+  req.query = "late";
+  req.target_half_width = kInf;
+  EXPECT_EQ(server.OpenSession("late")->Execute(req).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ServeServerTest, HammerLooseAndTightWhileWriterReclaims) {
+  // Four sessions mix loose and tight targets on two shapes while a writer
+  // advances every few requests. With min_retain_versions = 1 a head
+  // request's version can be reclaimed between its head lookup and its
+  // first replication's pin, which sends it back to the new head. Run
+  // under TSan in CI.
+  simsql::MarkovChainDb db = MakePriceDb();
+  Server::Options opts;
+  opts.seed = 99;
+  opts.min_reps = 8;
+  opts.min_retain_versions = 1;
+  Server server(db, opts);
+  ASSERT_TRUE(server.AddQuery(PortfolioValueQuery()).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kSessions = 4;
+  constexpr int kRequests = 100;  // per session, at least
+  constexpr int kAdvances = 60;   // one per 5 answered requests
+  constexpr uint64_t kMaxReps = 128;
+  const double targets[] = {kInf, 2.0, 1.0};
+  struct Seen {
+    double vol;
+    double target;
+    Answer answer;
+  };
+  std::vector<std::vector<Seen>> seen(kSessions);
+  std::atomic<int> done_requests{0};
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kSessions; ++c) {
+    clients.emplace_back([&, c] {
+      auto session = server.OpenSession("mix-" + std::to_string(c));
+      Rng rng(500 + static_cast<uint64_t>(c));
+      // Sessions keep asking until the writer is done, so every advance
+      // overlaps with reads however the threads are scheduled.
+      for (int q = 0; q < kRequests || !writer_done.load(); ++q) {
+        Request req;
+        req.query = "pv";
+        req.params = {{"vol", 1.0 + static_cast<double>(rng.NextBounded(2))},
+                      {"horizon", 3.0}};
+        req.target_half_width = targets[rng.NextBounded(3)];
+        req.max_reps = kMaxReps;
+        auto r = session->Execute(req);
+        if (!r.ok()) {
+          ADD_FAILURE() << r.status().ToString();
+          failures.fetch_add(1);
+          break;
+        }
+        seen[c].push_back({req.params.at("vol"), req.target_half_width,
+                           r.value()});
+        done_requests.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (int v = 1; v <= kAdvances && failures.load() == 0; ++v) {
+    while (done_requests.load(std::memory_order_relaxed) < 5 * v &&
+           failures.load() == 0) {
+      std::this_thread::yield();
+    }
+    EXPECT_TRUE(server.AdvanceVersion().ok());
+  }
+  writer_done.store(true);
+  for (auto& t : clients) t.join();
+  ASSERT_EQ(failures.load(), 0);
+  EXPECT_EQ(server.head_version(), static_cast<uint64_t>(kAdvances));
+
+  uint64_t requests = 0;
+  uint64_t reps_added = 0;
+  std::map<std::tuple<uint64_t, uint64_t, uint64_t>,
+           std::pair<uint64_t, uint64_t>>
+      canonical;  // (vol, version, reps) -> (estimate, half-width) bits
+  for (const auto& per_session : seen) {
+    for (const Seen& s : per_session) {
+      ++requests;
+      reps_added += s.answer.reps_added;
+      EXPECT_GE(s.answer.reps, opts.min_reps);
+      EXPECT_TRUE(s.answer.half_width <= s.target ||
+                  s.answer.reps >= kMaxReps)
+          << "half-width " << s.answer.half_width << " > " << s.target;
+      const auto bits =
+          std::make_pair(Bits(s.answer.estimate), Bits(s.answer.half_width));
+      const auto [it, inserted] = canonical.emplace(
+          std::make_tuple(Bits(s.vol), s.answer.version, s.answer.reps),
+          bits);
+      if (!inserted) {
+        EXPECT_EQ(it->second, bits) << "two answers for one (key, reps)";
+      }
+    }
+  }
+  EXPECT_GE(requests, static_cast<uint64_t>(kSessions * kRequests));
+  const serve::CacheStats stats = server.cache().stats();
+  EXPECT_EQ(stats.pure_hits + stats.topups + stats.misses, requests);
+  EXPECT_EQ(stats.reps_run, reps_added);
 }
 
 }  // namespace
