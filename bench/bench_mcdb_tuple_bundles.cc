@@ -66,11 +66,12 @@ MonteCarloDb MakeDb(size_t patients) {
 std::vector<double> RunNaiveQuery(const MonteCarloDb& db, size_t reps) {
   auto query = [](const DatabaseInstance& inst) -> Result<double> {
     MDE_ASSIGN_OR_RETURN(
-        Table females,
+        Value avg,
         table::Query(inst.at("SBP_DATA"))
             .Where("GENDER", CmpOp::kEq, "F")
-            .Execute());
-    return table::AvgColumn(females, "SBP");
+            .GroupByAgg({}, {{table::AggKind::kAvg, "SBP", "avg_sbp"}})
+            .ExecuteScalar());
+    return avg.AsDouble();
   };
   return db.RunNaive(query, reps, 77).value();
 }

@@ -70,20 +70,17 @@ int main() {
   // A post-hoc SQL-style analysis: attack rate by age band.
   std::printf("\nattack rate by age band (policy run):\n");
   table::Table people = treated.PersonTable();
-  auto banded = table::Query(people)
-                    .With("band", table::DataType::kString,
-                          [](const table::Row& r) {
-                            const int64_t age = r[1].AsInt();
-                            if (age <= 4) return table::Value("preschool");
-                            if (age <= 18) return table::Value("school");
-                            return table::Value("adult");
-                          })
-                    .With("infected", table::DataType::kInt64,
-                          [](const table::Row& r) {
-                            return table::Value(
-                                r[3].AsString() == "S" ? int64_t{0}
-                                                       : int64_t{1});
-                          })
+  table::Table bands{table::Schema({{"band", table::DataType::kString},
+                                    {"infected", table::DataType::kInt64}})};
+  bands.Reserve(people.num_rows());
+  for (const table::Row& r : people.rows()) {
+    const int64_t age = r[1].AsInt();
+    const char* band = age <= 4 ? "preschool" : age <= 18 ? "school" : "adult";
+    bands.Append({table::Value(band),
+                  table::Value(r[3].AsString() == "S" ? int64_t{0}
+                                                      : int64_t{1})});
+  }
+  auto banded = table::Query(bands)
                     .GroupByAgg({"band"},
                                 {{table::AggKind::kCount, "", "n"},
                                  {table::AggKind::kAvg, "infected", "rate"}})

@@ -72,13 +72,13 @@ mde::Result<double> TargetRevenue(const DatabaseInstance& instance) {
       mde::table::Query(instance.at("DEMAND"))
           .Where("region", mde::table::CmpOp::kEq, "EAST")
           .Where("age", mde::table::CmpOp::kLt, int64_t{30})
-          .With("revenue", DataType::kDouble,
-                [](const Row& r) {
-                  return Value(r[3].AsDouble() *
-                               static_cast<double>(r[4].AsInt()));
-                })
+          .Select({"price", "units"})
           .Execute());
-  return mde::table::SumColumn(subset, "revenue");
+  double revenue = 0.0;
+  for (const Row& r : subset.rows()) {
+    revenue += r[0].AsDouble() * static_cast<double>(r[1].AsInt());
+  }
+  return revenue;
 }
 
 void Report(const char* label, const std::vector<double>& samples) {

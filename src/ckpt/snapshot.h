@@ -96,10 +96,12 @@ class SectionReader {
   size_t remaining() const { return data_.size() - pos_; }
   /// Fails the reader if any payload bytes were left unread.
   Status ExpectEnd();
+  /// Latches an InvalidArgument error (the first one wins); decoders call
+  /// it when a field reads fine but its value is invalid.
+  void Fail(const std::string& what);
 
  private:
   bool Take(void* out, size_t n);
-  void Fail(const std::string& what);
 
   std::string_view data_;
   size_t pos_ = 0;

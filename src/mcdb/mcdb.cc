@@ -11,10 +11,8 @@ Status MonteCarloDb::AddTable(const std::string& name, table::Table t) {
   // Columnar-backed tables make the per-repetition copy in Instantiate()
   // a shared-pointer copy; tables only read through queries never pay for
   // row materialization.
-  if (auto cols = t.ToColumnar(); cols.ok()) {
-    t = table::Table::FromColumnar(std::move(cols).value());
-  }
-  deterministic_.emplace(name, std::move(t));
+  deterministic_.emplace(name,
+                         table::Table::FromColumnar(t.ToColumnar().value()));
   return Status::OK();
 }
 

@@ -8,7 +8,6 @@
 #include "obs/trace.h"
 #include "table/catalog.h"
 #include "table/cost.h"
-#include "table/ops.h"
 #include "table/vec_ops.h"
 
 namespace mde::mcdb {
@@ -16,49 +15,23 @@ namespace mde::mcdb {
 namespace {
 
 /// Surviving outer-row indices (ascending) under the conjunction of
-/// `preds`, via the vectorized filter over cached columnar blocks when the
-/// table converts, else the bound row predicates. Both paths share
-/// ColumnCompare's comparison semantics, so the set — and therefore the
-/// generated bundle — is independent of which path ran.
+/// `preds`, via the vectorized filter over the table's cached columnar
+/// blocks. VecFilter shares ColumnCompare's comparison semantics, so the
+/// set — and therefore the generated bundle — equals FilterDet's.
 Result<table::SelVector> SurvivingRows(
     const table::Table& outer,
     const std::vector<table::PlanPredicate>& preds, ThreadPool* pool) {
-  auto columnar = outer.ToColumnar();
-  if (columnar.ok()) {
-    const table::ColumnarTable& ct = *columnar.value();
-    table::SelVector sel;
-    bool have_sel = false;
-    for (const auto& p : preds) {
-      MDE_ASSIGN_OR_RETURN(
-          table::SelVector next,
-          table::VecFilter(ct, have_sel ? &sel : nullptr, p.column, p.op,
-                           p.literal, pool));
-      sel = std::move(next);
-      have_sel = true;
-      if (sel.empty()) break;
-    }
-    return sel;
-  }
-  std::vector<table::RowPredicate> bound;
-  bound.reserve(preds.size());
+  const auto columnar = outer.ToColumnar().value();
+  table::SelVector sel;
+  bool have_sel = false;
   for (const auto& p : preds) {
     MDE_ASSIGN_OR_RETURN(
-        table::RowPredicate rp,
-        table::ColumnCompare(outer.schema(), p.column, p.op, p.literal));
-    bound.push_back(std::move(rp));
-  }
-  table::SelVector sel;
-  const size_t n = outer.num_rows();
-  for (size_t i = 0; i < n; ++i) {
-    const table::Row& row = outer.row(i);
-    bool ok = true;
-    for (const auto& rp : bound) {
-      if (!rp(row)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) sel.push_back(static_cast<uint32_t>(i));
+        table::SelVector next,
+        table::VecFilter(*columnar, have_sel ? &sel : nullptr, p.column, p.op,
+                         p.literal, pool));
+    sel = std::move(next);
+    have_sel = true;
+    if (sel.empty()) break;
   }
   return sel;
 }

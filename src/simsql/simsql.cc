@@ -1,5 +1,7 @@
 #include "simsql/simsql.h"
 
+#include <unordered_set>
+
 #include "ckpt/fault.h"
 #include "ckpt/snapshot.h"
 #include "obs/context.h"
@@ -34,8 +36,26 @@ void PutValue(ckpt::SectionWriter* s, const table::Value& v) {
   }
 }
 
-table::Value TakeValue(ckpt::SectionReader* s) {
-  switch (static_cast<table::DataType>(s->U8())) {
+/// Reads a column's declared type byte; an unknown value fails the reader.
+table::DataType TakeType(ckpt::SectionReader* s) {
+  const uint8_t type = s->U8();
+  if (type > static_cast<uint8_t>(table::DataType::kString)) {
+    s->Fail("unknown column type");
+  }
+  return static_cast<table::DataType>(type);
+}
+
+/// Reads one cell of a column declared `type`. A non-null tag that is not
+/// the column's type fails the reader: the Table cell-type invariant would
+/// abort on such a cell.
+table::Value TakeValue(ckpt::SectionReader* s, table::DataType type) {
+  const uint8_t tag = s->U8();
+  if (tag == static_cast<uint8_t>(table::DataType::kNull)) return {};
+  if (tag != static_cast<uint8_t>(type)) {
+    s->Fail("cell type disagrees with its column");
+    return {};
+  }
+  switch (type) {
     case table::DataType::kBool:
       return table::Value(s->Bool());
     case table::DataType::kInt64:
@@ -45,9 +65,9 @@ table::Value TakeValue(ckpt::SectionReader* s) {
     case table::DataType::kString:
       return table::Value(s->String());
     case table::DataType::kNull:
-    default:
-      return table::Value();
+      break;
   }
+  return {};
 }
 
 void PutTable(ckpt::SectionWriter* s, const table::Table& t) {
@@ -63,22 +83,42 @@ void PutTable(ckpt::SectionWriter* s, const table::Table& t) {
   }
 }
 
+/// Reads a table written by PutTable. Every count is checked against the
+/// bytes left before anything is reserved or built, so a crafted snapshot
+/// fails the reader instead of aborting or exhausting memory.
 table::Table TakeTable(ckpt::SectionReader* s) {
   const uint32_t ncols = s->U32();
+  // A column spec takes at least 5 bytes: name length and type.
+  if (ncols > s->remaining() / 5) {
+    s->Fail("column count exceeds section");
+    return {};
+  }
   std::vector<table::ColumnSpec> cols;
   cols.reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
+  std::unordered_set<std::string> names;
+  for (uint32_t c = 0; c < ncols && s->status().ok(); ++c) {
     std::string name = s->String();
-    const auto type = static_cast<table::DataType>(s->U8());
+    const table::DataType type = TakeType(s);
+    if (!names.insert(name).second) s->Fail("duplicate column name");
     cols.push_back({std::move(name), type});
   }
+  if (!s->status().ok()) return {};
   table::Table t{table::Schema(std::move(cols))};
+  const table::Schema& schema = t.schema();
   const uint64_t nrows = s->U64();
+  // A row takes at least one tag byte per column; a zero-column table's
+  // row count has no bytes to bound it, so it must be zero.
+  if (nrows > 0 && (ncols == 0 || nrows > s->remaining() / ncols)) {
+    s->Fail("row count exceeds section");
+    return {};
+  }
   for (uint64_t r = 0; r < nrows && s->status().ok(); ++r) {
     table::Row row;
     row.reserve(ncols);
-    for (uint32_t c = 0; c < ncols; ++c) row.push_back(TakeValue(s));
-    t.Append(std::move(row));
+    for (uint32_t c = 0; c < ncols; ++c) {
+      row.push_back(TakeValue(s, schema.column(c).type));
+    }
+    if (s->status().ok()) t.Append(std::move(row));
   }
   return t;
 }
@@ -108,13 +148,10 @@ Status MarkovChainDb::AddDeterministic(const std::string& name,
   if (deterministic_.count(name) > 0) {
     return Status::AlreadyExists("table exists: " + name);
   }
-  // Re-wrap columnar-convertible tables so the per-step state copies in
-  // Run() share immutable column blocks instead of deep-copying boxed rows
-  // (tables with mixed-type columns keep their row storage).
-  if (auto cols = t.ToColumnar(); cols.ok()) {
-    t = table::Table::FromColumnar(std::move(cols).value());
-  }
-  deterministic_.emplace(name, std::move(t));
+  // Re-wrap as columnar so the per-step state copies in Run() share
+  // immutable column blocks instead of deep-copying boxed rows.
+  deterministic_.emplace(name,
+                         table::Table::FromColumnar(t.ToColumnar().value()));
   return Status::OK();
 }
 

@@ -185,53 +185,6 @@ ColumnStats ComputeColumnStatsColumnar(const Column& col, size_t n) {
   return s;
 }
 
-/// Fallback for tables whose cells disagree with their declared types
-/// (mixed-type columns stay on the row path): min/max/nulls/distinct from
-/// boxed values, no histogram.
-ColumnStats ComputeColumnStatsRows(const Table& t, size_t c) {
-  ColumnStats s;
-  s.type = t.schema().column(c).type;
-  const size_t n = t.num_rows();
-  DistinctAcc distinct;
-  size_t nulls = 0;
-  bool numeric = true;
-  bool first = true;
-  s.sorted_asc = s.sorted_desc = true;
-  const Value* prev = nullptr;
-  for (size_t i = 0; i < n; ++i) {
-    const Value& v = t.row(i)[c];
-    if (v.is_null()) {
-      ++nulls;
-      continue;
-    }
-    distinct.Add(Mix64(v.Hash()));
-    const DataType vt = v.type();
-    // Value::AsDouble aborts on bool, so range stats cover int64/double
-    // only (the columnar path handles bool; this fallback does not).
-    if (vt != DataType::kInt64 && vt != DataType::kDouble) numeric = false;
-    if (numeric) {
-      const double d = v.AsDouble();
-      if (first) {
-        s.min = s.max = d;
-      } else {
-        s.min = std::min(s.min, d);
-        s.max = std::max(s.max, d);
-      }
-    }
-    if (prev != nullptr) {
-      if (v.LessThan(*prev)) s.sorted_asc = false;
-      if (prev->LessThan(v)) s.sorted_desc = false;
-    }
-    prev = &v;
-    first = false;
-  }
-  s.null_fraction = n == 0 ? 0.0 : static_cast<double>(nulls) / n;
-  s.has_range = numeric && !first;
-  s.distinct = distinct.Estimate();
-  if (first) s.sorted_asc = s.sorted_desc = false;
-  return s;
-}
-
 }  // namespace
 
 const ColumnStats* TableStats::Find(const std::string& name) const {
@@ -246,17 +199,10 @@ std::shared_ptr<const TableStats> ComputeTableStats(const Table& t) {
   stats->schema = t.schema();
   const size_t ncols = t.schema().num_columns();
   stats->columns.reserve(ncols);
-  auto columnar = t.ToColumnar();
-  if (columnar.ok()) {
-    const ColumnarTable& ct = *columnar.value();
-    for (size_t c = 0; c < ncols; ++c) {
-      stats->columns.push_back(
-          ComputeColumnStatsColumnar(ct.col(c), ct.num_rows()));
-    }
-  } else {
-    for (size_t c = 0; c < ncols; ++c) {
-      stats->columns.push_back(ComputeColumnStatsRows(t, c));
-    }
+  const auto columnar = t.ToColumnar().value();
+  for (size_t c = 0; c < ncols; ++c) {
+    stats->columns.push_back(
+        ComputeColumnStatsColumnar(columnar->col(c), columnar->num_rows()));
   }
   MDE_OBS_COUNT("opt.catalog.stats_computed", 1);
   return stats;

@@ -15,8 +15,7 @@
 namespace mde::table {
 
 /// Per-column statistics, computed in one pass over the cached columnar
-/// blocks (or the boxed rows for tables that stay on the row path) and
-/// memoized on the Table. The cost model (cost.h) turns these into
+/// blocks and memoized on the Table. The cost model (cost.h) turns these into
 /// selectivity and cardinality estimates; the optimizer (optimizer.h) turns
 /// those into predicate order, projection pruning, and join order.
 struct ColumnStats {

@@ -159,29 +159,28 @@ void ColumnBuilder::AppendString(const std::string& v) {
   MarkValid();
 }
 
-bool ColumnBuilder::AppendValue(const Value& v) {
+void ColumnBuilder::AppendValue(const Value& v) {
   if (v.is_null()) {
     AppendNull();
-    return true;
+    return;
   }
-  if (v.type() != col_.type) return false;
+  MDE_CHECK(v.type() == col_.type);
   switch (col_.type) {
     case DataType::kInt64:
       AppendInt64(v.AsInt());
-      return true;
+      return;
     case DataType::kDouble:
       AppendDouble(v.AsDouble());
-      return true;
+      return;
     case DataType::kBool:
       AppendBool(v.AsBool());
-      return true;
+      return;
     case DataType::kString:
       AppendString(v.AsString());
-      return true;
+      return;
     case DataType::kNull:
-      return false;
+      return;
   }
-  return false;
 }
 
 namespace {
@@ -239,15 +238,6 @@ Row ColumnarTable::MaterializeRow(size_t i) const {
   r.reserve(cols_.size());
   for (const auto& c : cols_) r.push_back(c->ValueAt(i));
   return r;
-}
-
-Result<std::shared_ptr<const ColumnarTable>> ColumnarTable::FromTable(
-    const Table& t) {
-  return t.ToColumnar();
-}
-
-Table ColumnarTable::ToTable(std::shared_ptr<const ColumnarTable> cols) {
-  return Table::FromColumnar(std::move(cols));
 }
 
 ColumnarTableBuilder::ColumnarTableBuilder(Schema schema)

@@ -69,9 +69,10 @@ class ColumnBuilder {
   void AppendDouble(double v);
   void AppendBool(bool v);
   void AppendString(const std::string& v);
-  /// Checked boxed append: null always accepted; otherwise the Value's type
-  /// must equal the column type. Returns false on type mismatch.
-  bool AppendValue(const Value& v);
+  /// Boxed append: null always accepted; otherwise the Value's type must
+  /// equal the column type (aborts on a mismatch, which the Table cell-type
+  /// invariant rules out).
+  void AppendValue(const Value& v);
 
   /// Finalizes (pads/shrinks the bitmap) and returns the column.
   std::shared_ptr<const Column> Finish();
@@ -93,9 +94,10 @@ class ColumnBuilder {
 std::shared_ptr<const Column> AccountColumnBlock(std::shared_ptr<Column> col);
 
 /// Column-oriented relation: the storage representation behind the
-/// vectorized operator suite (vec_ops.h). Schemas are identical to Table
-/// schemas; `FromTable` / `ToTable` convert between the two, and Table keeps
-/// a shared_ptr back to the ColumnarTable it was materialized from so the
+/// vectorized operator suite (vec_ops.h), the engine's only executor.
+/// Schemas are identical to Table schemas; Table::ToColumnar and
+/// Table::FromColumnar convert between the two, and Table keeps a
+/// shared_ptr back to the ColumnarTable it was materialized from so the
 /// conversion is O(1) for tables produced by the columnar pipeline.
 class ColumnarTable {
  public:
@@ -116,17 +118,6 @@ class ColumnarTable {
 
   /// Boxes row i (materialization path).
   Row MaterializeRow(size_t i) const;
-
-  /// Converts a row table. Returns the attached columnar representation in
-  /// O(1) when the table was produced by the columnar pipeline. Fails with
-  /// FailedPrecondition when some cell's runtime type disagrees with the
-  /// declared column type (mixed-type columns stay on the row path).
-  static Result<std::shared_ptr<const ColumnarTable>> FromTable(
-      const Table& t);
-
-  /// Materializes a row Table that keeps `cols` attached as its columnar
-  /// representation (rows are built lazily on first row access).
-  static Table ToTable(std::shared_ptr<const ColumnarTable> cols);
 
  private:
   Schema schema_;

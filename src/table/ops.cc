@@ -1,14 +1,5 @@
 #include "table/ops.h"
 
-#include <algorithm>
-#include <limits>
-#include <unordered_map>
-
-#include "obs/context.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/check.h"
-
 namespace mde::table {
 
 bool EvalCmp(const Value& v, CmpOp op, const Value& lit) {
@@ -40,286 +31,6 @@ Result<RowPredicate> ColumnCompare(const Schema& schema,
   });
 }
 
-RowPredicate And(RowPredicate a, RowPredicate b) {
-  return [a = std::move(a), b = std::move(b)](const Row& r) {
-    return a(r) && b(r);
-  };
-}
-
-RowPredicate Or(RowPredicate a, RowPredicate b) {
-  return [a = std::move(a), b = std::move(b)](const Row& r) {
-    return a(r) || b(r);
-  };
-}
-
-RowPredicate Not(RowPredicate a) {
-  return [a = std::move(a)](const Row& r) { return !a(r); };
-}
-
-Table Filter(const Table& t, const RowPredicate& pred) {
-  MDE_TRACE_SPAN("row.filter");
-  MDE_OBS_COUNT("row.filter.rows_in", t.num_rows());
-  MDE_OBS_ATTR_ADD(rows_in, t.num_rows());
-  Table out(t.schema());
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
-    if (pred(r)) out.Append(r);
-  }
-  MDE_OBS_COUNT("row.filter.rows_out", out.num_rows());
-  MDE_OBS_ATTR_ADD(rows_out, out.num_rows());
-  return out;
-}
-
-Result<Table> Project(const Table& t,
-                      const std::vector<std::string>& columns) {
-  std::vector<size_t> idx;
-  std::vector<ColumnSpec> cols;
-  idx.reserve(columns.size());
-  for (const auto& name : columns) {
-    MDE_ASSIGN_OR_RETURN(size_t i, t.schema().IndexOf(name));
-    idx.push_back(i);
-    cols.push_back(t.schema().column(i));
-  }
-  Table out{Schema(std::move(cols))};
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
-    Row nr;
-    nr.reserve(idx.size());
-    for (size_t i : idx) nr.push_back(r[i]);
-    out.Append(std::move(nr));
-  }
-  return out;
-}
-
-namespace {
-
-struct KeyHash {
-  size_t operator()(const std::vector<Value>& key) const {
-    size_t h = 0x811c9dc5;
-    for (const Value& v : key) h = h * 1099511628211ULL ^ v.Hash();
-    return h;
-  }
-};
-
-struct KeyEq {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!(a[i] == b[i])) return false;
-    }
-    return true;
-  }
-};
-
-std::vector<Value> ExtractKey(const Row& row, const std::vector<size_t>& idx) {
-  std::vector<Value> key;
-  key.reserve(idx.size());
-  for (size_t i : idx) key.push_back(row[i]);
-  return key;
-}
-
-}  // namespace
-
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::vector<std::string>& left_keys,
-                       const std::vector<std::string>& right_keys) {
-  MDE_TRACE_SPAN("row.hash_join");
-  MDE_OBS_COUNT("row.hash_join.rows_in", left.num_rows() + right.num_rows());
-  MDE_OBS_ATTR_ADD(rows_in, left.num_rows() + right.num_rows());
-  if (left_keys.size() != right_keys.size() || left_keys.empty()) {
-    return Status::InvalidArgument("join keys must be non-empty and paired");
-  }
-  std::vector<size_t> li, ri;
-  for (const auto& k : left_keys) {
-    MDE_ASSIGN_OR_RETURN(size_t i, left.schema().IndexOf(k));
-    li.push_back(i);
-  }
-  for (const auto& k : right_keys) {
-    MDE_ASSIGN_OR_RETURN(size_t i, right.schema().IndexOf(k));
-    ri.push_back(i);
-  }
-  std::unordered_map<std::vector<Value>, std::vector<size_t>, KeyHash, KeyEq>
-      index;
-  index.reserve(right.num_rows());
-  for (size_t r = 0; r < right.num_rows(); ++r) {
-    std::vector<Value> key = ExtractKey(right.row(r), ri);
-    bool has_null = false;
-    for (const Value& v : key) has_null |= v.is_null();
-    if (!has_null) index[std::move(key)].push_back(r);
-  }
-  Table out{Schema::Concat(left.schema(), right.schema(), "r.")};
-  out.Reserve(left.num_rows());  // one-match-per-left-row estimate
-  for (const Row& lrow : left.rows()) {
-    std::vector<Value> key = ExtractKey(lrow, li);
-    bool has_null = false;
-    for (const Value& v : key) has_null |= v.is_null();
-    if (has_null) continue;
-    auto it = index.find(key);
-    if (it == index.end()) continue;
-    for (size_t r : it->second) {
-      Row nr = lrow;
-      const Row& rrow = right.row(r);
-      nr.insert(nr.end(), rrow.begin(), rrow.end());
-      out.Append(std::move(nr));
-    }
-  }
-  MDE_OBS_COUNT("row.hash_join.rows_out", out.num_rows());
-  MDE_OBS_ATTR_ADD(rows_out, out.num_rows());
-  return out;
-}
-
-Table NestedLoopJoin(
-    const Table& left, const Table& right,
-    const std::function<bool(const Row&, const Row&)>& pred) {
-  MDE_TRACE_SPAN("row.nested_loop_join");
-  MDE_OBS_COUNT("row.nested_loop_join.rows_in",
-                left.num_rows() + right.num_rows());
-  MDE_OBS_ATTR_ADD(rows_in, left.num_rows() + right.num_rows());
-  Table out{Schema::Concat(left.schema(), right.schema(), "r.")};
-  for (const Row& lrow : left.rows()) {
-    for (const Row& rrow : right.rows()) {
-      if (pred(lrow, rrow)) {
-        Row nr = lrow;
-        nr.insert(nr.end(), rrow.begin(), rrow.end());
-        out.Append(std::move(nr));
-      }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-struct AggState {
-  size_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-};
-
-}  // namespace
-
-Result<Table> GroupBy(const Table& t, const std::vector<std::string>& keys,
-                      const std::vector<AggSpec>& aggs) {
-  MDE_TRACE_SPAN("row.group_by");
-  MDE_OBS_COUNT("row.group_by.rows_in", t.num_rows());
-  MDE_OBS_ATTR_ADD(rows_in, t.num_rows());
-  std::vector<size_t> key_idx;
-  for (const auto& k : keys) {
-    MDE_ASSIGN_OR_RETURN(size_t i, t.schema().IndexOf(k));
-    key_idx.push_back(i);
-  }
-  std::vector<size_t> agg_idx(aggs.size(), 0);
-  for (size_t a = 0; a < aggs.size(); ++a) {
-    if (aggs[a].kind != AggKind::kCount) {
-      MDE_ASSIGN_OR_RETURN(size_t i, t.schema().IndexOf(aggs[a].column));
-      const DataType dt = t.schema().column(i).type;
-      if (dt != DataType::kInt64 && dt != DataType::kDouble) {
-        return Status::InvalidArgument("aggregate over non-numeric column: " +
-                                       aggs[a].column);
-      }
-      agg_idx[a] = i;
-    }
-  }
-
-  std::unordered_map<std::vector<Value>, std::vector<AggState>, KeyHash,
-                     KeyEq>
-      groups;
-  groups.reserve(std::min<size_t>(t.num_rows(), 1024));
-  std::vector<std::vector<Value>> group_order;
-  group_order.reserve(std::min<size_t>(t.num_rows(), 1024));
-  for (const Row& r : t.rows()) {
-    std::vector<Value> key = ExtractKey(r, key_idx);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-      group_order.push_back(key);
-    }
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = it->second[a];
-      if (aggs[a].kind == AggKind::kCount) {
-        ++st.count;
-        continue;
-      }
-      const Value& v = r[agg_idx[a]];
-      if (v.is_null()) continue;
-      const double x = v.AsDouble();
-      ++st.count;
-      st.sum += x;
-      st.min = std::min(st.min, x);
-      st.max = std::max(st.max, x);
-    }
-  }
-
-  std::vector<ColumnSpec> out_cols;
-  for (size_t i : key_idx) out_cols.push_back(t.schema().column(i));
-  for (const auto& a : aggs) {
-    DataType dt = a.kind == AggKind::kCount ? DataType::kInt64
-                                            : DataType::kDouble;
-    out_cols.push_back({a.as, dt});
-  }
-  Table out{Schema(std::move(out_cols))};
-  out.Reserve(group_order.size());
-  for (const auto& key : group_order) {
-    const auto& states = groups[key];
-    Row r = key;
-    for (size_t a = 0; a < aggs.size(); ++a) {
-      const AggState& st = states[a];
-      switch (aggs[a].kind) {
-        case AggKind::kCount:
-          r.push_back(static_cast<int64_t>(st.count));
-          break;
-        case AggKind::kSum:
-          r.push_back(st.sum);
-          break;
-        case AggKind::kAvg:
-          r.push_back(st.count > 0 ? st.sum / static_cast<double>(st.count)
-                                   : Value());
-          break;
-        case AggKind::kMin:
-          r.push_back(st.count > 0 ? Value(st.min) : Value());
-          break;
-        case AggKind::kMax:
-          r.push_back(st.count > 0 ? Value(st.max) : Value());
-          break;
-      }
-    }
-    out.Append(std::move(r));
-  }
-  MDE_OBS_COUNT("row.group_by.rows_out", out.num_rows());
-  MDE_OBS_ATTR_ADD(rows_out, out.num_rows());
-  return out;
-}
-
-Result<Table> OrderBy(const Table& t, const std::vector<std::string>& columns,
-                      std::vector<bool> descending) {
-  MDE_TRACE_SPAN("row.order_by");
-  MDE_OBS_COUNT("row.order_by.rows_in", t.num_rows());
-  MDE_OBS_ATTR_ADD(rows_in, t.num_rows());
-  std::vector<size_t> idx;
-  for (const auto& c : columns) {
-    MDE_ASSIGN_OR_RETURN(size_t i, t.schema().IndexOf(c));
-    idx.push_back(i);
-  }
-  if (descending.empty()) descending.assign(columns.size(), false);
-  if (descending.size() != columns.size()) {
-    return Status::InvalidArgument("descending flags arity mismatch");
-  }
-  std::vector<Row> rows = t.rows();
-  std::stable_sort(rows.begin(), rows.end(),
-                   [&](const Row& a, const Row& b) {
-                     for (size_t k = 0; k < idx.size(); ++k) {
-                       const Value& va = a[idx[k]];
-                       const Value& vb = b[idx[k]];
-                       if (va.LessThan(vb)) return !descending[k];
-                       if (vb.LessThan(va)) return static_cast<bool>(descending[k]);
-                     }
-                     return false;
-                   });
-  return Table(t.schema(), std::move(rows));
-}
-
 Result<Table> Union(const Table& a, const Table& b) {
   if (!(a.schema() == b.schema())) {
     return Status::InvalidArgument("UNION schema mismatch: " +
@@ -330,68 +41,6 @@ Result<Table> Union(const Table& a, const Table& b) {
   out.Reserve(a.num_rows() + b.num_rows());
   for (const Row& r : b.rows()) out.Append(r);
   return out;
-}
-
-Table Distinct(const Table& t) {
-  MDE_TRACE_SPAN("row.distinct");
-  MDE_OBS_COUNT("row.distinct.rows_in", t.num_rows());
-  MDE_OBS_ATTR_ADD(rows_in, t.num_rows());
-  std::unordered_map<std::vector<Value>, bool, KeyHash, KeyEq> seen;
-  seen.reserve(t.num_rows());
-  Table out(t.schema());
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
-    if (seen.emplace(r, true).second) out.Append(r);
-  }
-  return out;
-}
-
-Table Limit(const Table& t, size_t n) {
-  Table out(t.schema());
-  out.Reserve(std::min(n, t.num_rows()));
-  for (size_t i = 0; i < std::min(n, t.num_rows()); ++i) out.Append(t.row(i));
-  return out;
-}
-
-Table WithColumn(const Table& t, const std::string& name, DataType type,
-                 const std::function<Value(const Row&)>& fn) {
-  std::vector<ColumnSpec> cols = t.schema().columns();
-  cols.push_back({name, type});
-  Table out{Schema(std::move(cols))};
-  out.Reserve(t.num_rows());
-  for (const Row& r : t.rows()) {
-    Row nr = r;
-    nr.push_back(fn(r));
-    out.Append(std::move(nr));
-  }
-  return out;
-}
-
-Result<int64_t> CountRows(const Table& t) {
-  return static_cast<int64_t>(t.num_rows());
-}
-
-Result<double> SumColumn(const Table& t, const std::string& column) {
-  MDE_ASSIGN_OR_RETURN(size_t i, t.schema().IndexOf(column));
-  double s = 0.0;
-  for (const Row& r : t.rows()) {
-    if (!r[i].is_null()) s += r[i].AsDouble();
-  }
-  return s;
-}
-
-Result<double> AvgColumn(const Table& t, const std::string& column) {
-  MDE_ASSIGN_OR_RETURN(size_t i, t.schema().IndexOf(column));
-  double s = 0.0;
-  size_t n = 0;
-  for (const Row& r : t.rows()) {
-    if (!r[i].is_null()) {
-      s += r[i].AsDouble();
-      ++n;
-    }
-  }
-  if (n == 0) return Status::FailedPrecondition("AVG over empty column");
-  return s / static_cast<double>(n);
 }
 
 }  // namespace mde::table

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "table/table.h"
 #include "util/status.h"
@@ -17,41 +16,19 @@ using RowPredicate = std::function<bool(const Row&)>;
 /// Comparison operators for column predicates.
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-/// Evaluates `v <op> lit` with the Value comparison semantics shared by the
-/// row and vectorized paths (numeric coercion through double, cross-type
-/// ranking). Nulls are the caller's concern: a predicate over a null value
-/// or literal is false before this is consulted.
+/// Evaluates `v <op> lit` with the Value comparison semantics the
+/// vectorized kernels implement (numeric coercion through double,
+/// cross-type ranking). Nulls are the caller's concern: a predicate over a
+/// null value or literal is false before this is consulted.
 bool EvalCmp(const Value& v, CmpOp op, const Value& lit);
 
-/// Builds a predicate `column <op> literal` resolved against `schema`.
+/// Builds a predicate `column <op> literal` resolved against `schema`, with
+/// VecFilter's semantics (nulls never match).
 Result<RowPredicate> ColumnCompare(const Schema& schema,
                                    const std::string& column, CmpOp op,
                                    Value literal);
 
-/// Conjunction / disjunction / negation combinators.
-RowPredicate And(RowPredicate a, RowPredicate b);
-RowPredicate Or(RowPredicate a, RowPredicate b);
-RowPredicate Not(RowPredicate a);
-
-/// sigma_p(t): rows of `t` satisfying `pred`.
-Table Filter(const Table& t, const RowPredicate& pred);
-
-/// pi_cols(t): named-column projection (errors on unknown columns).
-Result<Table> Project(const Table& t, const std::vector<std::string>& columns);
-
-/// Equi-join on left.column == right.column pairs using a hash table built
-/// over the right input. Output schema is Concat(left, right, "r.").
-Result<Table> HashJoin(const Table& left, const Table& right,
-                       const std::vector<std::string>& left_keys,
-                       const std::vector<std::string>& right_keys);
-
-/// General theta-join: `pred` sees the concatenated row. O(n*m); used where
-/// the join condition is not an equality (e.g. spatial nearness in the ABS
-/// self-join before grid partitioning is applied).
-Table NestedLoopJoin(const Table& left, const Table& right,
-                     const std::function<bool(const Row&, const Row&)>& pred);
-
-/// Aggregate function kinds for GroupBy.
+/// Aggregate function kinds for VecGroupBy / Query::GroupByAgg.
 enum class AggKind { kCount, kSum, kAvg, kMin, kMax };
 
 /// One aggregate: `kind` over `column` (column ignored for kCount), output
@@ -62,34 +39,8 @@ struct AggSpec {
   std::string as;
 };
 
-/// Hash group-by with the given key columns (may be empty: global
-/// aggregate). Aggregate inputs must be numeric (except kCount).
-Result<Table> GroupBy(const Table& t, const std::vector<std::string>& keys,
-                      const std::vector<AggSpec>& aggs);
-
-/// Sorts by the given columns ascending (descending when the matching
-/// entry of `descending` is true; `descending` may be empty = all
-/// ascending). Stable.
-Result<Table> OrderBy(const Table& t, const std::vector<std::string>& columns,
-                      std::vector<bool> descending = {});
-
 /// Bag union; schemas must match exactly.
 Result<Table> Union(const Table& a, const Table& b);
-
-/// Removes duplicate rows (strict variant equality).
-Table Distinct(const Table& t);
-
-/// First `n` rows.
-Table Limit(const Table& t, size_t n);
-
-/// Appends a computed column `name` of type `type` produced by `fn`.
-Table WithColumn(const Table& t, const std::string& name, DataType type,
-                 const std::function<Value(const Row&)>& fn);
-
-/// Scalar helpers used by the simulation layers.
-Result<int64_t> CountRows(const Table& t);
-Result<double> SumColumn(const Table& t, const std::string& column);
-Result<double> AvgColumn(const Table& t, const std::string& column);
 
 }  // namespace mde::table
 

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "obs/context.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "table/cost.h"
 #include "table/optimizer.h"
@@ -104,98 +103,11 @@ using ProfileClock = std::chrono::steady_clock;
 
 /// Opens a NodeProfile slot for the node about to execute and returns its
 /// pre-order index. Profiles are appended node-first, then children (left
-/// before right), so both executors assign identical indices to identical
-/// tree positions.
+/// before right).
 size_t OpenProfile(ExecutionStats* stats) {
   const size_t index = stats->nodes.size();
   stats->nodes.emplace_back();
   return index;
-}
-
-Result<Table> ExecutePlanRows(const PlanPtr& plan, ExecutionStats* stats);
-
-/// Row-at-a-time executor, kept as the fallback for base tables that do not
-/// convert to columnar form (mixed-type cells in a column).
-Result<Table> ExecutePlanRowsImpl(const PlanPtr& plan,
-                                  ExecutionStats* stats) {
-  switch (plan->kind()) {
-    case PlanNode::Kind::kScan: {
-      if (stats != nullptr) stats->rows_scanned += plan->table()->num_rows();
-      return *plan->table();
-    }
-    case PlanNode::Kind::kFilter: {
-      MDE_ASSIGN_OR_RETURN(Table in, ExecutePlanRows(plan->child(), stats));
-      Table out = in;
-      for (const PlanPredicate& p : plan->predicates()) {
-        MDE_ASSIGN_OR_RETURN(
-            RowPredicate pred,
-            ColumnCompare(out.schema(), p.column, p.op, p.literal));
-        out = Filter(out, pred);
-      }
-      if (stats != nullptr) stats->intermediate_rows += out.num_rows();
-      return out;
-    }
-    case PlanNode::Kind::kProject: {
-      MDE_ASSIGN_OR_RETURN(Table in, ExecutePlanRows(plan->child(), stats));
-      MDE_ASSIGN_OR_RETURN(Table out, Project(in, plan->columns()));
-      if (!plan->aliases().empty()) {
-        std::vector<ColumnSpec> specs;
-        specs.reserve(out.schema().num_columns());
-        for (size_t i = 0; i < out.schema().num_columns(); ++i) {
-          specs.push_back(
-              {plan->aliases()[i], out.schema().column(i).type});
-        }
-        std::vector<Row> rows = out.rows();
-        out = Table(Schema(std::move(specs)), std::move(rows));
-      }
-      if (stats != nullptr) stats->intermediate_rows += out.num_rows();
-      return out;
-    }
-    case PlanNode::Kind::kJoin: {
-      MDE_ASSIGN_OR_RETURN(Table l, ExecutePlanRows(plan->left(), stats));
-      MDE_ASSIGN_OR_RETURN(Table r, ExecutePlanRows(plan->right(), stats));
-      MDE_ASSIGN_OR_RETURN(
-          Table out, HashJoin(l, r, plan->left_keys(), plan->right_keys()));
-      if (stats != nullptr) stats->intermediate_rows += out.num_rows();
-      return out;
-    }
-  }
-  return Status::Internal("unknown plan node");
-}
-
-/// Profiling shim: times the node (inclusive of children) and records rows
-/// out. Timing happens only when a stats sink was passed, and is write-only
-/// side-band state — results never depend on it.
-Result<Table> ExecutePlanRows(const PlanPtr& plan, ExecutionStats* stats) {
-  if (stats == nullptr) return ExecutePlanRowsImpl(plan, stats);
-  const size_t index = OpenProfile(stats);
-  const auto t0 = ProfileClock::now();
-  Result<Table> r = ExecutePlanRowsImpl(plan, stats);
-  ExecutionStats::NodeProfile& prof = stats->nodes[index];
-  prof.wall_ns = static_cast<double>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          ProfileClock::now() - t0)
-          .count());
-  prof.vectorized = false;
-  prof.chunks = 0;
-  if (r.ok()) prof.rows_out = r.value().num_rows();
-  return r;
-}
-
-/// True when every base table of the plan converts to columnar form (the
-/// conversions are cached on the tables, so this also warms repeated
-/// executions of plans over the same base data).
-bool ScansConvert(const PlanPtr& plan) {
-  switch (plan->kind()) {
-    case PlanNode::Kind::kScan:
-      return plan->table()->ToColumnar().ok();
-    case PlanNode::Kind::kFilter:
-    case PlanNode::Kind::kProject:
-      return ScansConvert(plan->child());
-    case PlanNode::Kind::kJoin:
-      return ScansConvert(plan->left()) && ScansConvert(plan->right());
-  }
-  return false;
 }
 
 Result<ColumnarBatch> ExecBatch(const PlanPtr& plan, ExecutionStats* stats,
@@ -203,8 +115,8 @@ Result<ColumnarBatch> ExecBatch(const PlanPtr& plan, ExecutionStats* stats,
 
 /// Vectorized executor: batches of shared column blocks + selection vectors
 /// flow between operators; nothing is materialized until the plan root.
-/// Stats keep the row executor's semantics (scanned base rows, rows each
-/// intermediate operator produced).
+/// Stats count scanned base rows and the rows each intermediate operator
+/// produced.
 Result<ColumnarBatch> ExecBatchImpl(const PlanPtr& plan,
                                     ExecutionStats* stats, ThreadPool* pool) {
   switch (plan->kind()) {
@@ -266,10 +178,9 @@ Result<ColumnarBatch> ExecBatchImpl(const PlanPtr& plan,
   return Status::Internal("unknown plan node");
 }
 
-/// Profiling shim for the vectorized path. The chunk count is derived from
-/// the operator's input domain: the node's first child's output cardinality
-/// (pre-order puts that child's profile at index + 1), or the scanned table
-/// itself for leaves.
+/// Profiling shim. The chunk count is derived from the operator's input
+/// domain: the node's first child's output cardinality (pre-order puts that
+/// child's profile at index + 1), or the scanned table itself for leaves.
 Result<ColumnarBatch> ExecBatch(const PlanPtr& plan, ExecutionStats* stats,
                                 ThreadPool* pool) {
   if (stats == nullptr) return ExecBatchImpl(plan, stats, pool);
@@ -281,7 +192,6 @@ Result<ColumnarBatch> ExecBatch(const PlanPtr& plan, ExecutionStats* stats,
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           ProfileClock::now() - t0)
           .count());
-  prof.vectorized = true;
   if (r.ok()) prof.rows_out = r.value().size();
   const size_t in_rows = plan->kind() == PlanNode::Kind::kScan
                              ? prof.rows_out
@@ -315,30 +225,12 @@ Result<Table> ExecutePlan(const PlanPtr& plan, ExecutionStats* stats) {
                       obs::FingerprintString(PlanFingerprint(plan)));
   MDE_TRACE_SPAN("plan.execute");
   if (stats != nullptr) stats->nodes.clear();
-  Result<Table> out = [&]() -> Result<Table> {
-    if (ScansConvert(plan)) {
-      ThreadPool* pool = VecPool();
-      MDE_ASSIGN_OR_RETURN(ColumnarBatch batch, ExecBatch(plan, stats, pool));
-      return BatchToTable(batch, pool);
-    }
-    MDE_OBS_COUNT("plan.fallback_to_row_path", 1);
-    return ExecutePlanRows(plan, stats);
-  }();
-  if (out.ok() && stats != nullptr) FeedbackProfiledRun(plan, stats);
+  ThreadPool* pool = VecPool();
+  MDE_ASSIGN_OR_RETURN(ColumnarBatch batch, ExecBatch(plan, stats, pool));
+  Table out = BatchToTable(batch, pool);
+  if (stats != nullptr) FeedbackProfiledRun(plan, stats);
   return out;
 }
-
-namespace internal {
-
-Result<Table> ExecutePlanRowPath(const PlanPtr& plan, ExecutionStats* stats) {
-  if (plan == nullptr) return Status::InvalidArgument("null plan");
-  if (stats != nullptr) stats->nodes.clear();
-  Result<Table> out = ExecutePlanRows(plan, stats);
-  if (out.ok() && stats != nullptr) FeedbackProfiledRun(plan, stats);
-  return out;
-}
-
-}  // namespace internal
 
 namespace {
 
@@ -474,7 +366,7 @@ double ChildrenInclusiveNs(const PlanPtr& plan, const ExecutionStats& stats,
   return ns;
 }
 
-/// Walks the tree in the executors' pre-order, consuming one profile per
+/// Walks the tree in the executor's pre-order, consuming one profile per
 /// node from `*next`. Renders actual rows next to the optimizer's
 /// estimate (when the run was estimated), inclusive wall time, and self
 /// time (inclusive minus children — where the time was actually spent).
@@ -493,8 +385,7 @@ void AnalyzeRec(const PlanPtr& plan, const ExecutionStats& stats, int depth,
         std::max(0.0, p.wall_ns - ChildrenInclusiveNs(plan, stats, index));
     *os << " time=" << FormatNanos(p.wall_ns)
         << " self=" << FormatNanos(self_ns);
-    if (p.vectorized) *os << " chunks=" << p.chunks;
-    *os << (p.vectorized ? " vec]" : " row]");
+    *os << " chunks=" << p.chunks << " vec]";
   } else {
     *os << " [no profile]";
   }

@@ -97,10 +97,8 @@ struct ExecutionStats {
     /// Inclusive wall time: this operator plus everything below it.
     double wall_ns = 0.0;
     /// Vectorized chunk count over the operator's input domain
-    /// (ceil(rows / kVecGrain)); 0 on the row path.
+    /// (ceil(rows / kVecGrain)).
     size_t chunks = 0;
-    /// True when the columnar executor ran this node.
-    bool vectorized = false;
     /// The optimizer's cardinality estimate for this node, or -1 when the
     /// plan was executed without estimation (no cost model consulted).
     /// Compared against rows_out by ExplainAnalyze and folded back into
@@ -109,27 +107,22 @@ struct ExecutionStats {
     double est_rows = -1.0;
   };
   /// Per-operator profiles indexed by the plan's pre-order position (node,
-  /// then child — left before right for joins). Both executors traverse in
-  /// the same order, so index i always refers to the same plan node. Filled
-  /// whenever a stats pointer is passed to ExecutePlan; cleared at the start
-  /// of each execution.
+  /// then child — left before right for joins), so index i always refers to
+  /// the same plan node. Filled whenever a stats pointer is passed to
+  /// ExecutePlan; cleared at the start of each execution.
   std::vector<NodeProfile> nodes;
 };
 
-/// Executes a plan as written (no rewrites).
+/// Executes a plan as written (no rewrites) on the vectorized columnar
+/// operators (vec_ops.h): batches of shared column blocks and selection
+/// vectors flow between operators, and only the root materializes.
 Result<Table> ExecutePlan(const PlanPtr& plan, ExecutionStats* stats);
 
 /// EXPLAIN ANALYZE: the operator tree annotated with the per-node profile
 /// that ExecutePlan collected into `stats` — rows produced, inclusive wall
-/// time, chunk counts, and which path (vec/row) ran each operator. `plan`
-/// must be the same plan that produced `stats`.
+/// time and chunk counts, each node tagged "vec" for the columnar executor
+/// that ran it. `plan` must be the same plan that produced `stats`.
 std::string ExplainAnalyze(const PlanPtr& plan, const ExecutionStats& stats);
-
-namespace internal {
-/// Forces the row-at-a-time executor regardless of columnar
-/// convertibility. Exposed for row-vs-vec parity tests only.
-Result<Table> ExecutePlanRowPath(const PlanPtr& plan, ExecutionStats* stats);
-}  // namespace internal
 
 /// Cost-based optimization (optimizer.h): selection pushdown, predicate
 /// ordering by estimated selectivity, projection pushdown, and join

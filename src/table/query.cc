@@ -2,126 +2,50 @@
 
 #include <numeric>
 
-#include "obs/metrics.h"
-
 namespace mde::table {
 
-bool Query::EnsureColumnar() {
-  if (columnar_) return true;
-  auto cols = table_.ToColumnar();
-  if (!cols.ok()) {
-    // Mixed-type cells: stay on the row path.
-    MDE_OBS_COUNT("table.fallback_to_row_path", 1);
-    return false;
-  }
-  batch_.cols = std::move(cols).value();
-  batch_.sel.clear();
-  batch_.whole = true;
-  columnar_ = true;
-  table_ = Table();
-  return true;
-}
+Query::Query(const Table& input)
+    : batch_{input.ToColumnar().value(), {}, true} {}
 
-void Query::EnsureRowMode() {
-  if (!columnar_) return;
-  MDE_OBS_COUNT("table.row_mode_switches", 1);
-  table_ = BatchToTable(batch_, VecPool());
-  batch_ = ColumnarBatch{};
-  columnar_ = false;
+Query& Query::Fail(Status status) {
+  status_ = std::move(status);
+  return *this;
 }
 
 Query& Query::Where(const std::string& column, CmpOp op, Value literal) {
   if (!status_.ok()) return *this;
-  if (EnsureColumnar()) {
-    auto sel = VecFilter(*batch_.cols, batch_.whole ? nullptr : &batch_.sel,
-                         column, op, literal, VecPool());
-    if (!sel.ok()) {
-      status_ = sel.status();
-      return *this;
-    }
-    batch_.sel = std::move(sel).value();
-    batch_.whole = false;
-    return *this;
-  }
-  auto pred = ColumnCompare(table_.schema(), column, op, std::move(literal));
-  if (!pred.ok()) {
-    status_ = pred.status();
-    return *this;
-  }
-  table_ = Filter(table_, pred.value());
-  return *this;
-}
-
-Query& Query::WherePred(RowPredicate pred) {
-  if (!status_.ok()) return *this;
-  EnsureRowMode();
-  table_ = Filter(table_, pred);
+  auto sel = VecFilter(*batch_.cols, batch_.whole ? nullptr : &batch_.sel,
+                       column, op, literal, VecPool());
+  if (!sel.ok()) return Fail(sel.status());
+  batch_.sel = std::move(sel).value();
+  batch_.whole = false;
   return *this;
 }
 
 Query& Query::Select(std::vector<std::string> columns) {
   if (!status_.ok()) return *this;
-  if (EnsureColumnar()) {
-    auto res = VecProject(batch_, columns);
-    if (!res.ok()) {
-      status_ = res.status();
-      return *this;
-    }
-    batch_ = std::move(res).value();
-    return *this;
-  }
-  auto res = Project(table_, columns);
-  if (!res.ok()) {
-    status_ = res.status();
-    return *this;
-  }
-  table_ = std::move(res).value();
+  auto res = VecProject(batch_, columns);
+  if (!res.ok()) return Fail(res.status());
+  batch_ = std::move(res).value();
   return *this;
 }
 
 Query& Query::Join(const Table& right, std::vector<std::string> left_keys,
                    std::vector<std::string> right_keys) {
   if (!status_.ok()) return *this;
-  auto right_cols = right.ToColumnar();
-  if (right_cols.ok() && EnsureColumnar()) {
-    ColumnarBatch rb{std::move(right_cols).value(), {}, true};
-    auto res =
-        VecHashJoin(batch_, rb, left_keys, right_keys, VecPool());
-    if (!res.ok()) {
-      status_ = res.status();
-      return *this;
-    }
-    batch_ = ColumnarBatch{std::move(res).value(), {}, true};
-    return *this;
-  }
-  EnsureRowMode();
-  auto res = HashJoin(table_, right, left_keys, right_keys);
-  if (!res.ok()) {
-    status_ = res.status();
-    return *this;
-  }
-  table_ = std::move(res).value();
+  ColumnarBatch rb{right.ToColumnar().value(), {}, true};
+  auto res = VecHashJoin(batch_, rb, left_keys, right_keys, VecPool());
+  if (!res.ok()) return Fail(res.status());
+  batch_ = ColumnarBatch{std::move(res).value(), {}, true};
   return *this;
 }
 
 Query& Query::GroupByAgg(std::vector<std::string> keys,
                          std::vector<AggSpec> aggs) {
   if (!status_.ok()) return *this;
-  if (EnsureColumnar()) {
-    auto res = VecGroupBy(batch_, keys, aggs, VecPool());
-    if (!res.ok()) {
-      status_ = res.status();
-      return *this;
-    }
-    batch_ = ColumnarBatch{std::move(res).value(), {}, true};
-    return *this;
-  }
-  auto res = GroupBy(table_, keys, aggs);
-  if (!res.ok()) {
-    status_ = res.status();
-    return *this;
-  }
-  table_ = std::move(res).value();
+  auto res = VecGroupBy(batch_, keys, aggs, VecPool());
+  if (!res.ok()) return Fail(res.status());
+  batch_ = ColumnarBatch{std::move(res).value(), {}, true};
   return *this;
 }
 
@@ -129,89 +53,47 @@ Query& Query::CountStar(const std::string& as) {
   return GroupByAgg({}, {{AggKind::kCount, "", as}});
 }
 
-Query& Query::OrderByAsc(std::vector<std::string> columns) {
+Query& Query::Sort(const std::vector<std::string>& columns,
+                   const std::vector<bool>& descending) {
   if (!status_.ok()) return *this;
-  if (EnsureColumnar()) {
-    auto res = VecOrderBy(batch_, columns, {});
-    if (!res.ok()) {
-      status_ = res.status();
-      return *this;
-    }
-    batch_.sel = std::move(res).value();
-    batch_.whole = false;
-    return *this;
-  }
-  auto res = OrderBy(table_, columns);
-  if (!res.ok()) {
-    status_ = res.status();
-    return *this;
-  }
-  table_ = std::move(res).value();
+  auto res = VecOrderBy(batch_, columns, descending);
+  if (!res.ok()) return Fail(res.status());
+  batch_.sel = std::move(res).value();
+  batch_.whole = false;
   return *this;
 }
 
+Query& Query::OrderByAsc(std::vector<std::string> columns) {
+  return Sort(columns, {});
+}
+
 Query& Query::OrderByDesc(std::vector<std::string> columns) {
-  if (!status_.ok()) return *this;
-  std::vector<bool> desc(columns.size(), true);
-  if (EnsureColumnar()) {
-    auto res = VecOrderBy(batch_, columns, desc);
-    if (!res.ok()) {
-      status_ = res.status();
-      return *this;
-    }
-    batch_.sel = std::move(res).value();
-    batch_.whole = false;
-    return *this;
-  }
-  auto res = OrderBy(table_, columns, desc);
-  if (!res.ok()) {
-    status_ = res.status();
-    return *this;
-  }
-  table_ = std::move(res).value();
-  return *this;
+  return Sort(columns, std::vector<bool>(columns.size(), true));
 }
 
 Query& Query::Limit(size_t n) {
   if (!status_.ok()) return *this;
-  if (EnsureColumnar()) {
-    const size_t keep = std::min(n, batch_.size());
-    if (batch_.whole) {
-      batch_.sel.resize(keep);
-      std::iota(batch_.sel.begin(), batch_.sel.end(), 0);
-      batch_.whole = false;
-    } else {
-      batch_.sel.resize(keep);
-    }
-    return *this;
+  const size_t keep = std::min(n, batch_.size());
+  if (batch_.whole) {
+    batch_.sel.resize(keep);
+    std::iota(batch_.sel.begin(), batch_.sel.end(), 0);
+    batch_.whole = false;
+  } else {
+    batch_.sel.resize(keep);
   }
-  table_ = table::Limit(table_, n);
   return *this;
 }
 
 Query& Query::Distinct() {
   if (!status_.ok()) return *this;
-  if (EnsureColumnar()) {
-    batch_.sel = VecDistinct(batch_);
-    batch_.whole = false;
-    return *this;
-  }
-  table_ = table::Distinct(table_);
-  return *this;
-}
-
-Query& Query::With(const std::string& name, DataType type,
-                   std::function<Value(const Row&)> fn) {
-  if (!status_.ok()) return *this;
-  EnsureRowMode();
-  table_ = WithColumn(table_, name, type, fn);
+  batch_.sel = VecDistinct(batch_);
+  batch_.whole = false;
   return *this;
 }
 
 Result<Table> Query::Execute() {
   if (!status_.ok()) return status_;
-  if (columnar_) return BatchToTable(batch_, VecPool());
-  return std::move(table_);
+  return BatchToTable(batch_, VecPool());
 }
 
 Result<Value> Query::ExecuteScalar() {

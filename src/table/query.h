@@ -21,21 +21,15 @@ namespace mde::table {
 ///                .CountStar("n_infected_preschool")
 ///                .Execute();
 ///
-/// Execution: the chain runs on the vectorized columnar operators
-/// (vec_ops.h) whenever the input converts to columnar form — structured
-/// steps (Where/Select/Join/GroupByAgg/OrderBy/Limit/Distinct) then pass
-/// selection vectors between kernels and only materialize at Execute().
-/// Steps taking opaque row lambdas (WherePred, With) and inputs with
-/// mixed-type columns fall back to the row-at-a-time operators; both paths
-/// produce identical tables.
+/// Execution: every step runs on the vectorized columnar operators
+/// (vec_ops.h). Steps pass selection vectors between kernels over the
+/// input's cached column blocks and only materialize at Execute().
 class Query {
  public:
-  explicit Query(Table input) : table_(std::move(input)) {}
+  explicit Query(const Table& input);
 
   /// sigma: column <op> literal.
   Query& Where(const std::string& column, CmpOp op, Value literal);
-  /// sigma with an arbitrary predicate (sees the current schema's rows).
-  Query& WherePred(RowPredicate pred);
   /// pi.
   Query& Select(std::vector<std::string> columns);
   /// Equi hash join against `right`.
@@ -49,9 +43,6 @@ class Query {
   Query& OrderByDesc(std::vector<std::string> columns);
   Query& Limit(size_t n);
   Query& Distinct();
-  /// Appends a computed column.
-  Query& With(const std::string& name, DataType type,
-              std::function<Value(const Row&)> fn);
 
   /// Runs the accumulated pipeline.
   Result<Table> Execute();
@@ -60,15 +51,12 @@ class Query {
   Result<Value> ExecuteScalar();
 
  private:
-  /// Switches to columnar mode if possible (no-op if already there).
-  /// Returns false when the input only works row-at-a-time.
-  bool EnsureColumnar();
-  /// Materializes the pending batch back into table_ for row-only steps.
-  void EnsureRowMode();
+  Query& Sort(const std::vector<std::string>& columns,
+              const std::vector<bool>& descending);
+  /// Records the chain's first error.
+  Query& Fail(Status status);
 
-  Table table_;          // row-mode state (valid when !columnar_)
-  ColumnarBatch batch_;  // columnar-mode state (valid when columnar_)
-  bool columnar_ = false;
+  ColumnarBatch batch_;
   Status status_;
 };
 

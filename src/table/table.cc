@@ -12,8 +12,8 @@ namespace mde::table {
 
 namespace {
 
-Result<std::shared_ptr<const ColumnarTable>> ConvertRows(
-    const Schema& schema, const std::vector<Row>& rows) {
+std::shared_ptr<const ColumnarTable> ConvertRows(const Schema& schema,
+                                                 const std::vector<Row>& rows) {
   std::vector<ColumnBuilder> builders;
   builders.reserve(schema.num_columns());
   for (size_t c = 0; c < schema.num_columns(); ++c) {
@@ -21,19 +21,25 @@ Result<std::shared_ptr<const ColumnarTable>> ConvertRows(
     builders.back().Reserve(rows.size());
   }
   for (const Row& r : rows) {
-    for (size_t c = 0; c < builders.size(); ++c) {
-      if (!builders[c].AppendValue(r[c])) {
-        return Status::FailedPrecondition(
-            "cell type disagrees with declared column type for column " +
-            schema.column(c).name + "; staying on the row path");
-      }
-    }
+    for (size_t c = 0; c < builders.size(); ++c) builders[c].AppendValue(r[c]);
   }
   std::vector<std::shared_ptr<const Column>> cols;
   cols.reserve(builders.size());
   for (auto& b : builders) cols.push_back(b.Finish());
   return std::make_shared<const ColumnarTable>(schema, std::move(cols),
                                                rows.size());
+}
+
+/// The cell-type invariant (table.h): aborts unless `v` is null or of
+/// column `c`'s declared type.
+void CheckCell(const Schema& schema, size_t c, const Value& v) {
+  MDE_CHECK_MSG(v.is_null() || v.type() == schema.column(c).type,
+                "cell type disagrees with declared column type");
+}
+
+void CheckRow(const Schema& schema, const Row& row) {
+  MDE_CHECK_EQ(row.size(), schema.num_columns());
+  for (size_t c = 0; c < row.size(); ++c) CheckCell(schema, c, row[c]);
 }
 
 }  // namespace
@@ -96,9 +102,7 @@ std::string Schema::ToString() const {
 
 Table::Table(Schema schema, std::vector<Row> rows)
     : schema_(std::move(schema)), rows_(std::move(rows)) {
-  for (const Row& r : rows_.get()) {
-    MDE_CHECK_EQ(r.size(), schema_.num_columns());
-  }
+  for (const Row& r : rows_.get()) CheckRow(schema_, r);
 }
 
 size_t Table::num_rows() const {
@@ -129,7 +133,7 @@ const std::vector<Row>& Table::rows() const {
 }
 
 void Table::Append(Row row) {
-  MDE_CHECK_EQ(row.size(), schema_.num_columns());
+  CheckRow(schema_, row);
   EnsureRows();
   columnar_.Reset();
   stats_.Reset();
@@ -152,6 +156,7 @@ Result<Value> Table::At(size_t row, const std::string& column) const {
 void Table::Set(size_t row, size_t col, Value v) {
   MDE_CHECK_LT(row, num_rows());
   MDE_CHECK_LT(col, schema_.num_columns());
+  CheckCell(schema_, col, v);
   EnsureRows();
   columnar_.Reset();
   stats_.Reset();
@@ -168,17 +173,10 @@ Result<std::shared_ptr<const ColumnarTable>> Table::ToColumnar() const {
     return columnar_.get();
   }
   // Not yet converted, so row-backed: rows_ is the storage.
-  Status status = Status::OK();
-  columnar_.Fill([&](std::shared_ptr<const ColumnarTable>& slot) {
-    auto converted = ConvertRows(schema_, rows_.get());
-    if (!converted.ok()) {
-      status = converted.status();
-      return false;
-    }
-    slot = std::move(converted).value();
+  columnar_.Fill([this](std::shared_ptr<const ColumnarTable>& slot) {
+    slot = ConvertRows(schema_, rows_.get());
     return true;
   });
-  if (!status.ok()) return status;
   return columnar_.get();
 }
 

@@ -129,6 +129,11 @@ class LazySlot {
 /// In-memory relation. Rows are append-only through the public API;
 /// operators produce new tables.
 ///
+/// Invariant: every cell is null or holds exactly its column's declared
+/// type. The constructor, Append and Set abort on a row that breaks it (the
+/// same programmer-error contract as a wrong arity), so every Table
+/// converts to columnar form and the columnar executor is the only one.
+///
 /// Storage: a Table is either row-backed (vector of boxed rows, as built by
 /// Append) or columnar-backed — produced by the vectorized operator
 /// pipeline (columnar.h / vec_ops.h), in which case it carries a shared
@@ -150,8 +155,9 @@ class Table {
   const Row& row(size_t i) const;
   const std::vector<Row>& rows() const;
 
-  /// Appends a row; aborts if arity mismatches the schema. Detaches the
-  /// columnar representation (the blocks are immutable).
+  /// Appends a row; aborts if its arity or a cell's type mismatches the
+  /// schema. Detaches the columnar representation (the blocks are
+  /// immutable).
   void Append(Row row);
 
   /// Pre-sizes the row storage (cardinality-estimate reserve in operators).
@@ -161,22 +167,21 @@ class Table {
   Result<Value> At(size_t row, const std::string& column) const;
 
   /// In-place mutation used by the simulation layers that model agent state
-  /// as rows (Indemics node updates, SimSQL versions mutate copies).
+  /// as rows (Indemics node updates, SimSQL versions mutate copies). Aborts
+  /// if `v` is neither null nor of the column's declared type.
   void Set(size_t row, size_t col, Value v);
 
   /// The attached columnar representation, or nullptr for row-backed
-  /// tables. ColumnarTable::FromTable uses this to make Table -> columnar
-  /// conversion O(1) along the vectorized pipeline.
+  /// tables not yet converted by ToColumnar.
   const std::shared_ptr<const ColumnarTable>& columnar() const {
     return columnar_.ready() ? columnar_.get() : kNoColumnar;
   }
 
   /// Converts to a columnar representation and caches it on the table, so
   /// repeated scans of the same base table (plan execution, Query) convert
-  /// once. O(1) when already attached. Fails with FailedPrecondition if a
-  /// cell's runtime type disagrees with its declared column type (such
-  /// mixed-type tables stay on the row path). Safe to call from
-  /// concurrent readers; one of them converts.
+  /// once. O(1) when already attached. Never fails: the cell-type invariant
+  /// makes every table convertible. Safe to call from concurrent readers;
+  /// one of them converts.
   Result<std::shared_ptr<const ColumnarTable>> ToColumnar() const;
 
   /// Wraps a columnar table; the boxed row view is built on first access.

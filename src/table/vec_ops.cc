@@ -418,7 +418,7 @@ uint32_t RowAt(const ColumnarBatch& b, size_t j) {
   return b.whole ? static_cast<uint32_t>(j) : b.sel[j];
 }
 
-/// Same accumulator as the row GroupBy.
+/// Per-group, per-aggregate accumulator.
 struct AggState {
   size_t count = 0;
   double sum = 0.0;
@@ -703,8 +703,8 @@ Result<std::shared_ptr<const ColumnarTable>> VecHashJoin(
   if (type_mismatch || ln == 0 || rn == 0) return EmptyLike(out_schema);
 
   // Matching (left row, right row) pairs, per probe chunk; concatenated in
-  // chunk order they reproduce the row HashJoin's output order exactly
-  // (left rows in order, right matches in right insertion order).
+  // chunk order they give the serial output order exactly (left rows in
+  // order, right matches in right insertion order).
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> parts(
       NumChunksFor(ln));
 

@@ -70,8 +70,8 @@ std::shared_ptr<const ColumnarTable> VecCompact(const ColumnarTable& t,
                                                 ThreadPool* pool);
 
 /// sigma(column <op> literal) over the selected rows; returns the surviving
-/// row indices in ascending order. Exactly replicates the row-at-a-time
-/// ColumnCompare semantics: nulls never match, numerics compare as double
+/// row indices in ascending order. Exactly replicates ColumnCompare's
+/// semantics: nulls never match, numerics compare as double
 /// across int64/double, cross-type-class comparisons follow Value's type
 /// ranking.
 Result<SelVector> VecFilter(const ColumnarTable& t, const SelVector* sel,
@@ -83,41 +83,40 @@ Result<SelVector> VecFilter(const ColumnarTable& t, const SelVector* sel,
 Result<ColumnarBatch> VecProject(const ColumnarBatch& in,
                                  const std::vector<std::string>& columns);
 
-/// Equi hash join; same tuple ordering, null-key and duplicate-key
-/// semantics as the row HashJoin (strict same-type key equality: an int64
-/// key never matches a double key). Build is over the right batch, probe is
-/// chunk-parallel over the left batch.
+/// Equi hash join: left-major tuple order, null keys never join, duplicate
+/// keys produce the cross product, and key equality is strict same-type (an
+/// int64 key never matches a double key). Build is over the right batch,
+/// probe is chunk-parallel over the left batch.
 Result<std::shared_ptr<const ColumnarTable>> VecHashJoin(
     const ColumnarBatch& left, const ColumnarBatch& right,
     const std::vector<std::string>& left_keys,
     const std::vector<std::string>& right_keys, ThreadPool* pool);
 
-/// Theta join on `left.left_col <op> right.right_col` — the structured
-/// (and therefore vectorizable) form of NestedLoopJoin. Opaque row
-/// predicates stay on the row path. Chunk-parallel over left rows.
+/// Theta join on `left.left_col <op> right.right_col`, left-major.
+/// Chunk-parallel over left rows.
 Result<std::shared_ptr<const ColumnarTable>> VecNestedLoopJoin(
     const ColumnarTable& left, const std::string& left_col, CmpOp op,
     const ColumnarTable& right, const std::string& right_col,
     ThreadPool* pool);
 
-/// gamma: hash group-by with first-appearance group ordering and the same
-/// aggregate semantics as the row GroupBy (nulls skipped, AVG/MIN/MAX null
-/// on empty, SUM 0.0). Aggregation is chunk-parallel with partials combined
-/// in ascending chunk order.
+/// gamma: hash group-by with first-appearance group ordering (nulls
+/// skipped, AVG/MIN/MAX null on empty, SUM 0.0; aggregate inputs must be
+/// numeric except for COUNT). Aggregation is chunk-parallel with partials
+/// combined in ascending chunk order.
 Result<std::shared_ptr<const ColumnarTable>> VecGroupBy(
     const ColumnarBatch& in, const std::vector<std::string>& keys,
     const std::vector<AggSpec>& aggs, ThreadPool* pool);
 
 /// tau: stable multi-key sort; returns the selected rows in sorted order as
-/// a selection vector (gather with VecCompact / BatchToTable). Matches the
-/// row OrderBy ordering exactly, including null-first ranking and the
-/// int64-compares-as-double quirk of Value::LessThan.
+/// a selection vector (gather with VecCompact / BatchToTable). Orders by
+/// Value::LessThan exactly, including null-first ranking and its
+/// int64-compares-as-double quirk.
 Result<SelVector> VecOrderBy(const ColumnarBatch& in,
                              const std::vector<std::string>& columns,
                              std::vector<bool> descending);
 
 /// delta: first occurrence of each distinct row (strict variant equality,
-/// nulls equal — same as the row Distinct).
+/// nulls equal).
 SelVector VecDistinct(const ColumnarBatch& in);
 
 }  // namespace mde::table

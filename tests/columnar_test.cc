@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "row_oracle.h"
 #include "table/catalog.h"
 #include "table/columnar.h"
 #include "table/ops.h"
@@ -217,13 +218,28 @@ TEST(ColumnarTableTest, MutationDetachesColumnarRepresentation) {
   EXPECT_EQ(t.num_rows(), 2u);
 }
 
-TEST(ColumnarTableTest, MixedTypeColumnStaysOnRowPath) {
-  Table t{Schema({{"a", DataType::kInt64}})};
-  t.Append({Value(int64_t{1})});
-  t.Append({Value(2.5)});  // runtime double in a declared-int64 column
-  auto cols = t.ToColumnar();
-  EXPECT_FALSE(cols.ok());
-  EXPECT_EQ(cols.status().code(), StatusCode::kFailedPrecondition);
+// Every cell is null or of its column's declared type: the constructor,
+// Append and Set abort on a mixed-type cell, so every Table converts to
+// columnar form.
+TEST(ColumnarTableDeathTest, MixedTypeCellAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const Schema schema({{"a", DataType::kInt64}, {"s", DataType::kString}});
+  const char* kMsg = "cell type disagrees with declared column type";
+  // A runtime double in a declared-int64 column.
+  EXPECT_DEATH(Table(schema, {{Value(2.5), Value("x")}}), kMsg);
+  Table t{schema};
+  EXPECT_DEATH(t.Append({Value(int64_t{1}), Value(int64_t{2})}), kMsg);
+  t.Append({Value(int64_t{1}), Value("x")});
+  EXPECT_DEATH(t.Set(0, 1, Value(true)), kMsg);
+  // A null cell is accepted in any column.
+  Table n(schema, {{Value(), Value()}});
+  n.Append({Value(), Value("y")});
+  n.Set(1, 0, Value());
+  auto cols = n.ToColumnar();
+  ASSERT_TRUE(cols.ok());
+  EXPECT_EQ(cols.value()->num_rows(), 2u);
+  EXPECT_FALSE(cols.value()->col(0).IsValid(0));
+  EXPECT_FALSE(cols.value()->col(0).IsValid(1));
 }
 
 TEST(ColumnarTableTest, LazyRowMaterialization) {
@@ -242,7 +258,7 @@ TEST(ColumnarTableTest, LazyRowMaterialization) {
 
 // ---------------------------------------------------------------------------
 // Randomized differential tests: the vectorized kernels must agree with the
-// retained row-at-a-time operators row for row, cell for cell — including
+// row-at-a-time oracle (row_oracle.h) row for row, cell for cell — including
 // null handling, cross-type predicates, and the int64-through-double
 // comparison edge at 2^53.
 // ---------------------------------------------------------------------------
@@ -267,7 +283,7 @@ void RunFilterDifferential(Rng& rng, ThreadPool* pool) {
     EXPECT_EQ(pred.status().code(), sel.status().code());
     return;
   }
-  Table ref = Filter(t, pred.value());
+  Table ref = oracle::Filter(t, pred.value());
   Table vec = BatchToTable(
       ColumnarBatch{cols.value(), std::move(sel).value(), false}, pool);
   ExpectTablesIdentical(ref, vec, "filter " + col);
@@ -282,7 +298,7 @@ void RunJoinDifferential(Rng& rng, ThreadPool* pool) {
     lk.push_back(RandomColumn(rng, l, /*sometimes_bogus=*/false));
     rk.push_back(RandomColumn(rng, r, /*sometimes_bogus=*/false));
   }
-  auto ref = HashJoin(l, r, lk, rk);
+  auto ref = oracle::HashJoin(l, r, lk, rk);
   auto lc = l.ToColumnar();
   auto rc = r.ToColumnar();
   ASSERT_TRUE(lc.ok() && rc.ok());
@@ -317,7 +333,7 @@ void RunGroupByDifferential(Rng& rng, ThreadPool* pool) {
                     RandomColumn(rng, t, /*sometimes_bogus=*/false),
                     "agg" + std::to_string(i)});
   }
-  auto ref = GroupBy(t, keys, aggs);
+  auto ref = oracle::GroupBy(t, keys, aggs);
   auto cols = t.ToColumnar();
   ASSERT_TRUE(cols.ok());
   auto vec = VecGroupBy(ColumnarBatch{cols.value(), {}, true}, keys, aggs,
@@ -340,7 +356,7 @@ void RunOrderByDifferential(Rng& rng, ThreadPool* pool) {
     by.push_back(RandomColumn(rng, t, /*sometimes_bogus=*/false));
     desc.push_back(rng.NextBounded(2) == 1);
   }
-  auto ref = OrderBy(t, by, desc);
+  auto ref = oracle::OrderBy(t, by, desc);
   auto cols = t.ToColumnar();
   ASSERT_TRUE(cols.ok());
   auto sel = VecOrderBy(ColumnarBatch{cols.value(), {}, true}, by, desc);
@@ -353,7 +369,7 @@ void RunOrderByDifferential(Rng& rng, ThreadPool* pool) {
 
 void RunDistinctDifferential(Rng& rng, ThreadPool* pool) {
   Table t = RandomTable(rng, "c", 120);
-  Table ref = Distinct(t);
+  Table ref = oracle::Distinct(t);
   auto cols = t.ToColumnar();
   ASSERT_TRUE(cols.ok());
   SelVector sel = VecDistinct(ColumnarBatch{cols.value(), {}, true});
@@ -410,40 +426,12 @@ TEST(ColumnarDifferentialTest, QueryChainMatchesRowComposition) {
 
     auto pred = ColumnCompare(t.schema(), fcol, op, lit);
     ASSERT_TRUE(pred.ok());
-    auto joined = HashJoin(Filter(t, pred.value()), u, {lk}, {rk});
+    auto joined =
+        oracle::HashJoin(oracle::Filter(t, pred.value()), u, {lk}, {rk});
     ASSERT_EQ(q.ok(), joined.ok());
     if (!q.ok()) continue;
-    Table ref = Limit(joined.value(), 25);
+    Table ref = oracle::Limit(joined.value(), 25);
     ExpectTablesIdentical(ref, q.value(), "query chain");
-  }
-}
-
-TEST(ColumnarDifferentialTest, RowFallbackStepsInterleaveWithColumnar) {
-  Rng rng(42);
-  for (int iter = 0; iter < 40; ++iter) {
-    Table t = RandomTable(rng, "c", 100);
-    const std::string fcol = RandomColumn(rng, t, false);
-    // Opaque row predicate: forces the row path mid-chain.
-    auto idx = t.schema().IndexOf(fcol);
-    ASSERT_TRUE(idx.ok());
-    const size_t i = idx.value();
-    RowPredicate opaque = [i](const Row& r) { return !r[i].is_null(); };
-
-    const std::string fcol2 = RandomColumn(rng, t, false);
-    const CmpOp op = RandomOp(rng);
-    const Value lit = RandomLiteral(rng);
-
-    auto q = Query(t)
-                 .Where(fcol2, op, lit)  // columnar
-                 .WherePred(opaque)      // row fallback
-                 .Distinct()             // back to columnar
-                 .Execute();
-    ASSERT_TRUE(q.ok());
-
-    auto pred = ColumnCompare(t.schema(), fcol2, op, lit);
-    ASSERT_TRUE(pred.ok());
-    Table ref = Distinct(Filter(Filter(t, pred.value()), opaque));
-    ExpectTablesIdentical(ref, q.value(), "mixed-path chain");
   }
 }
 
@@ -465,12 +453,12 @@ TEST(ColumnarDifferentialTest, PlanExecutorMatchesRowOperators) {
     ExecutionStats stats;
     auto got = ExecutePlan(plan, &stats);
 
-    auto joined = HashJoin(l, r, {lk}, {rk});
+    auto joined = oracle::HashJoin(l, r, {lk}, {rk});
     ASSERT_EQ(got.ok(), joined.ok());
     if (!got.ok()) continue;
     auto pred = ColumnCompare(joined.value().schema(), fc, op, lit);
     ASSERT_TRUE(pred.ok());
-    Table ref = Filter(joined.value(), pred.value());
+    Table ref = oracle::Filter(joined.value(), pred.value());
     ExpectTablesIdentical(ref, got.value(), "plan execution");
     EXPECT_EQ(stats.rows_scanned, l.num_rows() + r.num_rows());
   }
@@ -594,7 +582,7 @@ TEST(VecOpsTest, AggregatesOverAllNullGroupMatchRowSemantics) {
                                      {AggKind::kAvg, "x", "a"},
                                      {AggKind::kMin, "x", "mn"},
                                      {AggKind::kCount, "", "n"}};
-  auto ref = GroupBy(t, {"k"}, aggs);
+  auto ref = oracle::GroupBy(t, {"k"}, aggs);
   ASSERT_TRUE(ref.ok());
   auto cols = t.ToColumnar();
   ASSERT_TRUE(cols.ok());
@@ -633,7 +621,7 @@ TEST(VecOpsTest, MismatchedKeyTypesProduceEmptyJoin) {
   l.Append({Value(int64_t{1})});
   Table r{Schema({{"k", DataType::kDouble}})};
   r.Append({Value(1.0)});
-  auto ref = HashJoin(l, r, {"k"}, {"k"});
+  auto ref = oracle::HashJoin(l, r, {"k"}, {"k"});
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ(ref.value().num_rows(), 0u);  // strict typing: 1 != 1.0 as keys
   auto lc = l.ToColumnar();
@@ -646,7 +634,7 @@ TEST(VecOpsTest, MismatchedKeyTypesProduceEmptyJoin) {
 }
 
 TEST(VecOpsTest, Int64FilterCoercesThroughDoubleAt2To53) {
-  // 2^53 and 2^53+1 are the same double; the row path compares via
+  // 2^53 and 2^53+1 are the same double; the oracle compares via
   // AsDouble(), so the vectorized path must collapse them too.
   const int64_t edge = int64_t{1} << 53;
   Table t{Schema({{"v", DataType::kInt64}})};
@@ -654,7 +642,7 @@ TEST(VecOpsTest, Int64FilterCoercesThroughDoubleAt2To53) {
   t.Append({Value(edge + 1)});
   auto pred = ColumnCompare(t.schema(), "v", CmpOp::kEq, Value(edge));
   ASSERT_TRUE(pred.ok());
-  Table ref = Filter(t, pred.value());
+  Table ref = oracle::Filter(t, pred.value());
   EXPECT_EQ(ref.num_rows(), 2u);  // both "equal" after coercion
   auto cols = t.ToColumnar();
   ASSERT_TRUE(cols.ok());
@@ -684,8 +672,9 @@ TEST(VecOpsTest, CrossTypePredicateFollowsValueRanking)
 
 // ---------------------------------------------------------------------------
 // Dictionary-code pushdown: string eq/ne runs as an integer compare on
-// dictionary codes; the observable behavior must stay exactly the row
-// path's, including literals absent from the dictionary and null cells.
+// dictionary codes; the observable behavior must stay exactly
+// ColumnCompare's, including literals absent from the dictionary and null
+// cells.
 // ---------------------------------------------------------------------------
 
 TEST(DictPushdownTest, StringEqNeMatchesRowPath) {

@@ -8,6 +8,7 @@
 #include "mcdb/mcdb.h"
 #include "mcdb/pregen.h"
 #include "mcdb/vg_function.h"
+#include "row_oracle.h"
 #include "table/query.h"
 #include "util/distributions.h"
 #include "util/stats.h"
@@ -120,7 +121,7 @@ TEST(McdbTest, InstantiateRealizesStochasticTable) {
   const Table& sbp = inst.value().at("SBP_DATA");
   EXPECT_EQ(sbp.num_rows(), 50u);
   // Values look like draws around 120.
-  double mean = table::AvgColumn(sbp, "SBP").value();
+  double mean = table::oracle::AvgColumn(sbp, "SBP").value();
   EXPECT_NEAR(mean, 120.0, 10.0);
 }
 
@@ -152,7 +153,7 @@ TEST(McdbTest, NaiveMonteCarloEstimatesQueryDistribution) {
   MonteCarloDb db = MakeSbpDb(120.0, 15.0, 200);
   // Query: average SBP over all patients.
   auto query = [](const DatabaseInstance& inst) -> Result<double> {
-    return table::AvgColumn(inst.at("SBP_DATA"), "SBP");
+    return table::oracle::AvgColumn(inst.at("SBP_DATA"), "SBP");
   };
   auto samples = db.RunNaive(query, 50, 11);
   ASSERT_TRUE(samples.ok());
@@ -421,8 +422,8 @@ TEST(PregenTest, BitIdenticalAcrossThreadCounts) {
   auto p2 = table::ColumnCompare(full.value().det_schema(), "PID", CmpOp::kLt,
                                  Value(int64_t{700}));
   ASSERT_TRUE(p1.ok() && p2.ok());
-  BundleTable expect =
-      full.value().FilterDet(table::And(p1.value(), p2.value()));
+  BundleTable expect = full.value().FilterDet(
+      [&p1, &p2](const Row& r) { return p1.value()(r) && p2.value()(r); });
   ExpectBundlesBitIdentical(expect, serial.value(), "conjunction");
 }
 

@@ -288,7 +288,6 @@ TEST(ObsExplainAnalyzeTest, ThreeNodePlanReportsRowsAndTime) {
   EXPECT_EQ(stats.nodes[2].rows_out, 1000u);                     // Scan
   EXPECT_EQ(stats.nodes[1].rows_out, result.value().num_rows());  // Filter
   EXPECT_EQ(stats.nodes[0].rows_out, result.value().num_rows());  // Project
-  EXPECT_TRUE(stats.nodes[0].vectorized);
 
   const std::string analyzed =
       NormalizeTimes(table::ExplainAnalyze(plan, stats));
@@ -320,35 +319,6 @@ TEST(ObsExplainAnalyzeTest, JoinPlanProfilesAllNodes) {
   EXPECT_EQ(stats.nodes[1].rows_out, 1000u);  // join: every order matches
   const std::string analyzed = table::ExplainAnalyze(plan, stats);
   EXPECT_EQ(analyzed.find("[no profile]"), std::string::npos);
-}
-
-TEST(ObsExplainAnalyzeTest, RowPathParityWithVecPath) {
-  table::Table orders = OrdersTable();
-  table::PlanPtr plan = table::PlanNode::Project(
-      table::PlanNode::Filter(table::PlanNode::Scan(&orders, "orders"),
-                              {{"amount", table::CmpOp::kGt,
-                                table::Value(14.0)}}),
-      {"oid", "amount"});
-  table::ExecutionStats vec_stats, row_stats;
-  auto vec = table::ExecutePlan(plan, &vec_stats);
-  auto row = table::internal::ExecutePlanRowPath(plan, &row_stats);
-  ASSERT_TRUE(vec.ok());
-  ASSERT_TRUE(row.ok());
-  // Identical results...
-  EXPECT_EQ(vec.value().ToString(2000), row.value().ToString(2000));
-  // ...and identical per-node cardinalities at identical pre-order indices.
-  ASSERT_EQ(vec_stats.nodes.size(), row_stats.nodes.size());
-  for (size_t i = 0; i < vec_stats.nodes.size(); ++i) {
-    EXPECT_EQ(vec_stats.nodes[i].rows_out, row_stats.nodes[i].rows_out)
-        << "node " << i;
-    EXPECT_TRUE(vec_stats.nodes[i].vectorized);
-    EXPECT_FALSE(row_stats.nodes[i].vectorized);
-  }
-  EXPECT_EQ(vec_stats.rows_scanned, row_stats.rows_scanned);
-  EXPECT_EQ(vec_stats.intermediate_rows, row_stats.intermediate_rows);
-  // Row-path EXPLAIN ANALYZE tags nodes with the row marker.
-  EXPECT_NE(table::ExplainAnalyze(plan, row_stats).find(" row]"),
-            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "row_oracle.h"
 #include "table/plan.h"
 
 namespace mde::table {
@@ -74,8 +75,8 @@ TEST(PlanTest, OptimizedPlanGivesSameAnswer) {
   ASSERT_EQ(a.value().num_rows(), b.value().num_rows());
   ASSERT_TRUE(a.value().schema() == b.value().schema());
   // Row-set equality via sorted comparison on a key.
-  auto sa = OrderBy(a.value(), {"oid"}).value();
-  auto sb = OrderBy(b.value(), {"oid"}).value();
+  auto sa = oracle::OrderBy(a.value(), {"oid"}).value();
+  auto sb = oracle::OrderBy(b.value(), {"oid"}).value();
   for (size_t i = 0; i < sa.num_rows(); ++i) {
     EXPECT_TRUE(sa.row(i)[0] == sb.row(i)[0]);
   }

@@ -1,7 +1,11 @@
 #include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "ckpt/snapshot.h"
 #include "simsql/simsql.h"
 #include "table/ops.h"
 #include "util/distributions.h"
@@ -171,6 +175,109 @@ TEST(MonteCarloChainTest, ReplicationsIndependent) {
   ASSERT_TRUE(s.ok());
   // Not all equal.
   EXPECT_GT(StdDev(s.value()), 0.1);
+}
+
+
+// ---------------------------------------------------------------------------
+// Hostile snapshots: the table decoder checks every type byte, cell tag,
+// column name and count before it builds anything, so a crafted snapshot
+// comes back as a Status rather than an abort or a huge allocation.
+// ---------------------------------------------------------------------------
+
+/// A simsql snapshot at version 1 of a 3-step chain whose state holds one
+/// table "T", written by `write_table`.
+std::string CraftSnapshot(
+    const std::function<void(ckpt::SectionWriter*)>& write_table) {
+  ckpt::SnapshotWriter snap("simsql");
+  ckpt::SectionWriter* c = snap.AddSection("cursor");
+  c->PutU64(1);
+  c->PutU64(3);
+  c->PutRngState(Rng(5).state());
+  ckpt::SectionWriter* st = snap.AddSection("state");
+  st->PutU32(1);
+  st->PutString("T");
+  write_table(st);
+  snap.AddSection("history")->PutU32(0);
+  return snap.Finish();
+}
+
+void PutColumn(ckpt::SectionWriter* s, const std::string& name,
+               uint8_t type) {
+  s->PutString(name);
+  s->PutU8(type);
+}
+
+constexpr uint8_t kInt64Tag = static_cast<uint8_t>(DataType::kInt64);
+constexpr uint8_t kDoubleTag = static_cast<uint8_t>(DataType::kDouble);
+
+TEST(ChainSnapshotTest, CraftedSnapshotsFailWithStatus) {
+  MarkovChainDb db;
+  ASSERT_TRUE(db.AddChainTable(MakeWalkerSpec(2)).ok());
+  ChainRunner runner(db, 3, 7, 0);
+
+  // Control: a well-formed crafted snapshot restores.
+  const std::string good = CraftSnapshot([](ckpt::SectionWriter* s) {
+    s->PutU32(1);
+    PutColumn(s, "a", kInt64Tag);
+    s->PutU64(1);
+    s->PutU8(kInt64Tag);
+    s->PutI64(42);
+  });
+  ASSERT_TRUE(runner.Restore(good).ok());
+
+  const std::pair<const char*, std::function<void(ckpt::SectionWriter*)>>
+      kCases[] = {
+          {"unknown column type",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(1);
+             PutColumn(s, "a", 200);
+             s->PutU64(0);
+           }},
+          {"cell tag disagrees with its column",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(1);
+             PutColumn(s, "a", kInt64Tag);
+             s->PutU64(1);
+             s->PutU8(kDoubleTag);
+             s->PutDouble(2.5);
+           }},
+          {"unknown cell tag",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(1);
+             PutColumn(s, "a", kInt64Tag);
+             s->PutU64(1);
+             s->PutU8(77);
+           }},
+          {"duplicate column name",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(2);
+             PutColumn(s, "a", kInt64Tag);
+             PutColumn(s, "a", kDoubleTag);
+             s->PutU64(0);
+           }},
+          {"column count past the payload",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(0xFFFFFFFFu);
+             PutColumn(s, "a", kInt64Tag);
+           }},
+          {"row count past the payload",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(1);
+             PutColumn(s, "a", kInt64Tag);
+             s->PutU64(~uint64_t{0});
+           }},
+          {"rows without columns",
+           [](ckpt::SectionWriter* s) {
+             s->PutU32(0);
+             s->PutU64(~uint64_t{0});
+           }},
+      };
+  for (const auto& [what, write_table] : kCases) {
+    const Status st = runner.Restore(CraftSnapshot(write_table));
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << what;
+  }
+  // A failed restore leaves the runner where the last good one put it.
+  EXPECT_EQ(runner.next_version(), 1u);
 }
 
 }  // namespace

@@ -5,12 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "row_oracle.h"
 #include "table/catalog.h"
 #include "table/columnar.h"
-#include "table/ops.h"
 #include "table/query.h"
 #include "table/table.h"
 #include "table/value.h"
+#include "table/vec_ops.h"
 
 namespace mde::table {
 namespace {
@@ -77,27 +78,22 @@ TEST(FilterTest, ColumnCompare) {
   Table t = MakePeople();
   auto pred = ColumnCompare(t.schema(), "age", CmpOp::kLe, int64_t{4});
   ASSERT_TRUE(pred.ok());
-  Table kids = Filter(t, pred.value());
+  Table kids = oracle::Filter(t, pred.value());
   EXPECT_EQ(kids.num_rows(), 2u);
-}
-
-TEST(FilterTest, Combinators) {
-  Table t = MakePeople();
-  auto young = ColumnCompare(t.schema(), "age", CmpOp::kLt, int64_t{30});
-  auto nyc = ColumnCompare(t.schema(), "city", CmpOp::kEq, "NYC");
-  ASSERT_TRUE(young.ok() && nyc.ok());
-  EXPECT_EQ(Filter(t, And(young.value(), nyc.value())).num_rows(), 2u);
-  EXPECT_EQ(Filter(t, Or(young.value(), nyc.value())).num_rows(), 4u);
-  EXPECT_EQ(Filter(t, Not(nyc.value())).num_rows(), 2u);
 }
 
 TEST(ProjectTest, SelectsAndErrors) {
   Table t = MakePeople();
-  auto proj = Project(t, {"pid", "city"});
+  auto proj = Query(t).Select({"city", "pid"}).Execute();
   ASSERT_TRUE(proj.ok());
-  EXPECT_EQ(proj.value().schema().num_columns(), 2u);
+  EXPECT_TRUE(proj.value().schema() ==
+              Schema({{"city", DataType::kString}, {"pid", DataType::kInt64}}));
   EXPECT_EQ(proj.value().num_rows(), 5u);
-  EXPECT_FALSE(Project(t, {"nope"}).ok());
+  EXPECT_EQ(proj.value().row(2)[0].AsString(), "SF");
+  EXPECT_EQ(proj.value().row(2)[1].AsInt(), 3);
+  auto bad = Query(t).Select({"nope"}).Execute();
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kNotFound);
 }
 
 TEST(HashJoinTest, MatchesPairs) {
@@ -106,49 +102,48 @@ TEST(HashJoinTest, MatchesPairs) {
   infected.Append({Value(int64_t{1})});
   infected.Append({Value(int64_t{3})});
   infected.Append({Value(int64_t{99})});  // no match
-  auto joined = HashJoin(people, infected, {"pid"}, {"pid"});
+  auto joined = oracle::HashJoin(people, infected, {"pid"}, {"pid"});
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(joined.value().num_rows(), 2u);
 }
 
 TEST(HashJoinTest, DuplicateKeysProduceCross) {
-  Table a{Schema({{"k", DataType::kInt64}})};
-  a.Append({Value(int64_t{1})});
-  a.Append({Value(int64_t{1})});
+  Table a{Schema({{"k", DataType::kInt64}, {"tag", DataType::kString}})};
+  a.Append({Value(int64_t{1}), Value("x")});
+  a.Append({Value(int64_t{1}), Value("y")});
   Table b = a;
-  auto joined = HashJoin(a, b, {"k"}, {"k"});
+  auto joined = Query(a).Join(b, {"k"}, {"k"}).Execute();
   ASSERT_TRUE(joined.ok());
-  EXPECT_EQ(joined.value().num_rows(), 4u);
+  const Table& j = joined.value();
+  EXPECT_TRUE(j.schema().Has("r.tag"));
+  // Every left row pairs with every right row, left-major.
+  ASSERT_EQ(j.num_rows(), 4u);
+  const char* kPairs[][2] = {{"x", "x"}, {"x", "y"}, {"y", "x"}, {"y", "y"}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(j.row(i)[1].AsString(), kPairs[i][0]) << i;
+    EXPECT_EQ(j.row(i)[3].AsString(), kPairs[i][1]) << i;
+  }
 }
 
 TEST(HashJoinTest, NullKeysNeverJoin) {
   Table a{Schema({{"k", DataType::kInt64}})};
   a.Append({Value()});
   Table b = a;
-  auto joined = HashJoin(a, b, {"k"}, {"k"});
+  auto joined = Query(a).Join(b, {"k"}, {"k"}).Execute();
   ASSERT_TRUE(joined.ok());
   EXPECT_EQ(joined.value().num_rows(), 0u);
 }
 
-TEST(NestedLoopJoinTest, ThetaJoin) {
-  Table t = MakePeople();
-  // Pairs where left.age < right.age.
-  Table joined = NestedLoopJoin(t, t, [](const Row& l, const Row& r) {
-    return l[1].AsInt() < r[1].AsInt();
-  });
-  EXPECT_EQ(joined.num_rows(), 10u);  // 5 choose 2 ordered pairs
-}
-
 TEST(GroupByTest, AggregatesPerGroup) {
   Table t = MakePeople();
-  auto g = GroupBy(t, {"city"},
-                   {{AggKind::kCount, "", "n"},
-                    {AggKind::kAvg, "income", "avg_inc"},
-                    {AggKind::kMax, "age", "max_age"}});
+  auto g = oracle::GroupBy(t, {"city"},
+                           {{AggKind::kCount, "", "n"},
+                            {AggKind::kAvg, "income", "avg_inc"},
+                            {AggKind::kMax, "age", "max_age"}});
   ASSERT_TRUE(g.ok());
   EXPECT_EQ(g.value().num_rows(), 2u);
   // NYC group: 3 people, incomes 0, 55000, 30000.
-  auto sorted = OrderBy(g.value(), {"city"});
+  auto sorted = oracle::OrderBy(g.value(), {"city"});
   ASSERT_TRUE(sorted.ok());
   const Row& nyc = sorted.value().row(0);
   EXPECT_EQ(nyc[0].AsString(), "NYC");
@@ -158,7 +153,7 @@ TEST(GroupByTest, AggregatesPerGroup) {
 
 TEST(GroupByTest, GlobalAggregate) {
   Table t = MakePeople();
-  auto g = GroupBy(t, {}, {{AggKind::kSum, "income", "total"}});
+  auto g = oracle::GroupBy(t, {}, {{AggKind::kSum, "income", "total"}});
   ASSERT_TRUE(g.ok());
   ASSERT_EQ(g.value().num_rows(), 1u);
   EXPECT_DOUBLE_EQ(g.value().row(0)[0].AsDouble(), 175000.0);
@@ -166,15 +161,22 @@ TEST(GroupByTest, GlobalAggregate) {
 
 TEST(GroupByTest, RejectsNonNumericAggregate) {
   Table t = MakePeople();
-  EXPECT_FALSE(GroupBy(t, {}, {{AggKind::kSum, "city", "x"}}).ok());
+  auto g = Query(t).GroupByAgg({}, {{AggKind::kSum, "city", "x"}}).Execute();
+  ASSERT_FALSE(g.ok());
+  EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(OrderByTest, MultiKeyAndDescending) {
   Table t = MakePeople();
-  auto sorted = OrderBy(t, {"city", "age"}, {false, true});
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted.value().row(0)[2].AsString(), "NYC");
-  EXPECT_EQ(sorted.value().row(0)[1].AsInt(), 67);  // oldest NYC first
+  auto cols = t.ToColumnar();
+  ASSERT_TRUE(cols.ok());
+  const ColumnarBatch batch{cols.value(), {}, true};
+  auto sel = VecOrderBy(batch, {"city", "age"}, {false, true});
+  ASSERT_TRUE(sel.ok());
+  // NYC (ages 67, 25, 3) before SF (40, 4), oldest first within a city.
+  EXPECT_EQ(sel.value(), (SelVector{4, 1, 0, 2, 3}));
+  EXPECT_FALSE(VecOrderBy(batch, {"city"}, {false, true}).ok());
+  EXPECT_FALSE(VecOrderBy(batch, {"nope"}, {}).ok());
 }
 
 TEST(UnionDistinctLimitTest, Basics) {
@@ -182,23 +184,14 @@ TEST(UnionDistinctLimitTest, Basics) {
   auto u = Union(t, t);
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(u.value().num_rows(), 10u);
-  EXPECT_EQ(Distinct(u.value()).num_rows(), 5u);
-  EXPECT_EQ(Limit(t, 2).num_rows(), 2u);
+  EXPECT_EQ(oracle::Distinct(u.value()).num_rows(), 5u);
+  EXPECT_EQ(oracle::Limit(t, 2).num_rows(), 2u);
 }
 
 TEST(UnionTest, RejectsSchemaMismatch) {
   Table a{Schema({{"x", DataType::kInt64}})};
   Table b{Schema({{"y", DataType::kInt64}})};
   EXPECT_FALSE(Union(a, b).ok());
-}
-
-TEST(WithColumnTest, ComputedColumn) {
-  Table t = MakePeople();
-  Table t2 = WithColumn(t, "income_k", DataType::kDouble, [](const Row& r) {
-    return Value(r[3].AsDouble() / 1000.0);
-  });
-  EXPECT_EQ(t2.schema().num_columns(), 5u);
-  EXPECT_DOUBLE_EQ(t2.row(1)[4].AsDouble(), 55.0);
 }
 
 TEST(QueryTest, ChainedPipeline) {
@@ -296,9 +289,13 @@ TEST(TableConcurrencyTest, CopiesAndMutationsKeepValueSemantics) {
 
 TEST(ScalarHelpersTest, SumAvg) {
   Table t = MakePeople();
-  EXPECT_DOUBLE_EQ(SumColumn(t, "income").value(), 175000.0);
-  EXPECT_DOUBLE_EQ(AvgColumn(t, "income").value(), 35000.0);
-  EXPECT_FALSE(AvgColumn(Table{t.schema()}, "income").ok());
+  auto sum = Query(t)
+                 .GroupByAgg({}, {{AggKind::kSum, "income", "total"}})
+                 .ExecuteScalar();
+  ASSERT_TRUE(sum.ok());
+  EXPECT_DOUBLE_EQ(sum.value().AsDouble(), 175000.0);
+  EXPECT_DOUBLE_EQ(oracle::AvgColumn(t, "income").value(), 35000.0);
+  EXPECT_FALSE(oracle::AvgColumn(Table{t.schema()}, "income").ok());
 }
 
 }  // namespace
