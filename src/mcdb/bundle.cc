@@ -32,6 +32,7 @@ BundleTable::BundleTable(table::Schema det_schema,
       stoch_names_(std::move(stoch_names)),
       num_reps_(num_reps),
       words_per_row_((num_reps + 63) / 64),
+      det_rows_(std::make_shared<std::vector<table::Row>>()),
       stoch_(stoch_names_.size()) {
   MDE_CHECK_GT(num_reps_, 0u);
   for (auto& block : stoch_) {
@@ -40,10 +41,14 @@ BundleTable::BundleTable(table::Schema det_schema,
 }
 
 uint64_t BundleTable::ApproxBytes() const {
-  uint64_t b = det_rows_.capacity() * sizeof(table::Row);
+  // Rows and blocks shared with another table are charged only to a sole
+  // owner, mirroring how the columnar layer excludes shared string
+  // dictionaries.
+  uint64_t b = 0;
+  if (det_rows_.use_count() == 1) {
+    b += det_rows_->capacity() * sizeof(table::Row);
+  }
   for (const auto& blockv : stoch_) {
-    // A block shared with another table is charged only to its first owner,
-    // mirroring how the columnar layer excludes shared string dictionaries.
     if (blockv != nullptr && blockv.use_count() == 1) {
       b += blockv->capacity() * sizeof(double);
     }
@@ -65,7 +70,7 @@ void BundleTable::Append(BundleRow row) {
   for (const auto& v : row.stoch) MDE_CHECK_EQ(v.size(), num_reps_);
   if (row.active.empty()) row.active.assign(num_reps_, 1);
   MDE_CHECK_EQ(row.active.size(), num_reps_);
-  det_rows_.push_back(std::move(row.det));
+  MutableDetRows().push_back(std::move(row.det));
   for (size_t k = 0; k < stoch_.size(); ++k) {
     AlignedVector<double>& block = MutableStoch(k);
     block.insert(block.end(), row.stoch[k].begin(), row.stoch[k].end());
@@ -84,7 +89,7 @@ void BundleTable::Append(BundleRow row) {
 
 BundleTable::BundleRow BundleTable::row(size_t i) const {
   BundleRow r;
-  r.det = det_rows_[i];
+  r.det = (*det_rows_)[i];
   r.stoch.resize(stoch_.size());
   for (size_t k = 0; k < stoch_.size(); ++k) {
     const double* v = stoch_[k]->data() + i * num_reps_;
@@ -116,17 +121,18 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
                              const uint64_t* masks, BundleTable* out) const {
   const size_t m = keep.size();
   // `keep` is strictly ascending indices into [0, num_rows), so m == n
-  // means the identity gather: every value block survives unchanged and is
-  // SHARED with the source instead of copied (the masks may still differ —
-  // a stochastic filter that kills repetitions but no whole row). This is
-  // the common FilterStoch outcome at realistic repetition counts.
+  // means the identity gather: the deterministic rows and every value block
+  // survive unchanged and are SHARED with the source instead of copied (the
+  // masks may still differ — a stochastic filter that kills repetitions but
+  // no whole row). This is the common FilterStoch outcome at realistic
+  // repetition counts.
   const bool identity = m == num_rows();
   if (identity) {
     out->det_rows_ = det_rows_;
     out->stoch_ = stoch_;
   } else {
     // reserve + tail-insert: the gather output is written exactly once.
-    out->det_rows_.reserve(m);
+    out->det_rows_->reserve(m);
     for (size_t k = 0; k < stoch_.size(); ++k) {
       out->stoch_[k]->reserve(m * num_reps_);
     }
@@ -135,7 +141,7 @@ void BundleTable::GatherRows(const std::vector<uint32_t>& keep,
   for (size_t j = 0; j < m; ++j) {
     const size_t i = keep[j];
     if (!identity) {
-      out->det_rows_.push_back(det_rows_[i]);
+      out->det_rows_->push_back((*det_rows_)[i]);
       for (size_t k = 0; k < stoch_.size(); ++k) {
         const double* src = stoch_[k]->data() + i * num_reps_;
         out->stoch_[k]->insert(out->stoch_[k]->end(), src, src + num_reps_);
@@ -154,7 +160,7 @@ BundleTable BundleTable::FilterDet(const table::RowPredicate& pred) const {
   std::vector<uint8_t> match(n, 0);
   RunRowChunks(n, [&](size_t, size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      match[i] = pred(det_rows_[i]) ? 1 : 0;
+      match[i] = pred((*det_rows_)[i]) ? 1 : 0;
     }
   });
   std::vector<uint32_t> keep;
@@ -250,7 +256,7 @@ Result<BundleTable> BundleTable::MapStoch(
         for (size_t k = 0; k < num_k; ++k) {
           at_rep[k] = (*stoch_[k])[i * num_reps_ + rep];
         }
-        computed[i * num_reps_ + rep] = fn(det_rows_[i], at_rep);
+        computed[i * num_reps_ + rep] = fn((*det_rows_)[i], at_rep);
       }
     }
   });
@@ -261,10 +267,11 @@ Result<BundleTable> BundleTable::MapStoch(
 namespace {
 
 /// Adds the active values of rows [begin, end) into sums[0..num_reps),
-/// optionally counting actives. The all-active full-word fast path uses the
-/// dispatched dense add kernel; partial words go through the masked-add
-/// kernels, which visit only set bits in ascending order — the same
-/// accumulation order as a full scan, so the result is unchanged.
+/// optionally counting actives. Every element gets at most one add per
+/// row, so the kernel choice cannot change a bit: a full word goes through
+/// the fused blend kernel (sums and counts in one pass), a partial last
+/// word through the masked-add kernels, whose loads never reach past the
+/// row's last repetition.
 void MaskedSumKernel(const double* block, const uint64_t* active,
                      size_t num_reps, size_t wpr, size_t begin, size_t end,
                      double* sums, double* counts) {
@@ -276,9 +283,10 @@ void MaskedSumKernel(const double* block, const uint64_t* active,
       if (word == 0) continue;
       const size_t base = w * 64;
       const size_t lim = std::min<size_t>(64, num_reps - base);
-      if (word == ~0ULL && lim == 64) {
-        simd::AddF64(sums + base, v + base, 64);
-        if (counts != nullptr) simd::AddConstF64(counts + base, 1.0, 64);
+      if (lim == 64) {
+        simd::MaskedAccumulateF64Word(
+            sums + base, counts != nullptr ? counts + base : nullptr,
+            v + base, word);
       } else {
         simd::MaskedAddF64Word(sums + base, v + base, word);
         if (counts != nullptr) {
@@ -378,7 +386,7 @@ Result<std::vector<BundleTable::GroupedSamples>> BundleTable::GroupSum(
   std::vector<GroupedSamples> groups;
   std::unordered_map<std::string, uint32_t> index;
   for (size_t i = 0; i < n; ++i) {
-    std::string key = det_rows_[i][key_idx].ToString();
+    std::string key = (*det_rows_)[i][key_idx].ToString();
     auto [it, inserted] =
         index.emplace(std::move(key), static_cast<uint32_t>(groups.size()));
     if (inserted) {
@@ -450,7 +458,8 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
   MDE_OBS_ATTR_ADD(vg_draws, n * num_reps);
   BundleTable out(outer->schema(), {attr_name}, num_reps);
   out.pool_ = pool;
-  out.det_rows_.resize(n);
+  std::vector<table::Row>& det_rows = *out.det_rows_;
+  det_rows.resize(n);
   // Left uninitialized (AlignedVector's resize does not zero): chunk_fn
   // writes every value, so the pool workers first-touch the block in
   // parallel. On error the block is dropped unread.
@@ -485,7 +494,7 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
         return;
       }
       const table::Row& params = params_r.value();
-      out.det_rows_[j] = outer_row;
+      det_rows[j] = outer_row;
       // Independent per-ROW stream via SplitMix64 seeding: O(1) per stream,
       // unlike Jump-based substreams whose setup cost grows with the stream
       // index. The row is the unit of parallelism and its repetitions are

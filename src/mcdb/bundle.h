@@ -52,6 +52,11 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
 /// batch-oriented layout that makes tuple-bundle execution amortize plan
 /// work across repetitions instead of chasing per-tuple pointers.
 ///
+/// Deterministic rows are shared the same way as value blocks: a
+/// FilterStoch or FilterDet that keeps every row, and every MapStoch, hand
+/// the derived table the source's row vector instead of copying it. Only a
+/// gather that drops rows builds new ones.
+///
 /// Parallelism: attach a ThreadPool with set_pool() and the kernels split
 /// the row range into fixed chunks of kRowGrain rows. Chunk boundaries and
 /// the partial-aggregate combine order depend only on the row count, so
@@ -85,7 +90,7 @@ class BundleTable {
 
   const table::Schema& det_schema() const { return det_schema_; }
   size_t num_reps() const { return num_reps_; }
-  size_t num_rows() const { return det_rows_.size(); }
+  size_t num_rows() const { return det_rows_->size(); }
 
   /// Executor pool for the filter/map/aggregate kernels; nullptr (default)
   /// runs them serially. Not owned. Derived tables inherit the pool.
@@ -97,7 +102,7 @@ class BundleTable {
   /// hot code.
   BundleRow row(size_t i) const;
 
-  const table::Row& det_row(size_t i) const { return det_rows_[i]; }
+  const table::Row& det_row(size_t i) const { return (*det_rows_)[i]; }
 
   /// Contiguous rep-major value block of stochastic attribute k (64-byte
   /// aligned for the SIMD kernels).
@@ -119,8 +124,10 @@ class BundleTable {
 
   /// Approximate heap footprint of the bundle storage: stochastic value
   /// blocks, packed mask words, and the deterministic rows counted
-  /// shallowly (vector capacities, not boxed Value payloads). This is what
-  /// the table reports to the `mcdb.bundle` memory pool (obs/mem.h).
+  /// shallowly (vector capacities, not boxed Value payloads). Value blocks
+  /// and rows shared with another table are charged only while this table
+  /// is their sole owner. This is what the table reports to the
+  /// `mcdb.bundle` memory pool (obs/mem.h).
   uint64_t ApproxBytes() const;
 
   /// Appends a bundle row (arity- and length-checked).
@@ -197,7 +204,8 @@ class BundleTable {
   }
 
   /// Copies the rows listed in `keep` (with per-row mask words taken from
-  /// `masks`, which may alias active_.data()) into `out`.
+  /// `masks`, which may alias active_.data()) into `out`, sharing the
+  /// deterministic rows and value blocks when `keep` lists every row.
   void GatherRows(const std::vector<uint32_t>& keep, const uint64_t* masks,
                   BundleTable* out) const;
 
@@ -212,11 +220,22 @@ class BundleTable {
     return *stoch_[k];
   }
 
+  /// Clone-on-write access to the deterministic rows, for Append.
+  std::vector<table::Row>& MutableDetRows() {
+    if (det_rows_.use_count() > 1) {
+      det_rows_ = std::make_shared<std::vector<table::Row>>(*det_rows_);
+    }
+    return *det_rows_;
+  }
+
   table::Schema det_schema_;
   std::vector<std::string> stoch_names_;
   size_t num_reps_;
   size_t words_per_row_;
-  std::vector<table::Row> det_rows_;
+  /// One deterministic row per logical tuple. Shared across derived tables
+  /// like the value blocks (never null); mutate only through
+  /// MutableDetRows.
+  std::shared_ptr<std::vector<table::Row>> det_rows_;
   /// stoch_[k] has num_rows * num_reps doubles, rep-major per row. 64-byte
   /// aligned so a full activity word's 64 doubles share cache lines cleanly
   /// with the widest vector loads. Blocks are shared across derived tables

@@ -51,14 +51,6 @@ uint64_t VersionChain::Install(simsql::DatabaseState state) {
   return next_number_ - 1;
 }
 
-SnapshotRef VersionChain::PinHead() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (nodes_.empty()) return SnapshotRef();
-  std::shared_ptr<SnapshotRef::Node> node = nodes_.back();
-  node->pins.fetch_add(1, std::memory_order_relaxed);
-  return SnapshotRef(std::move(node));
-}
-
 SnapshotRef VersionChain::Pin(uint64_t number) {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& node : nodes_) {

@@ -80,7 +80,7 @@ class SnapshotRef {
 };
 
 /// The version sequence plus its reclamation machinery. Thread-safe:
-/// Install / Pin / PinHead / counters may be called concurrently from any
+/// Install / Pin / counters may be called concurrently from any
 /// thread (installs of DIFFERENT states may interleave arbitrarily with
 /// pins; the caller is responsible for the order of its own installs).
 class VersionChain {
@@ -96,9 +96,6 @@ class VersionChain {
   /// retires the previous head, reclaims what the epoch + pin rules allow,
   /// and returns the new version number.
   uint64_t Install(simsql::DatabaseState state);
-
-  /// Pins the newest version. Invalid ref iff nothing has been installed.
-  SnapshotRef PinHead();
 
   /// Pins version `number`; invalid ref if it was never installed or has
   /// been reclaimed.

@@ -18,9 +18,9 @@ using internal::KernelTable;
 constexpr const char* kKernelNames[] = {
     "cmp_f64_bitmap", "cmp_i64_range_bitmap", "cmp_u32_eq_bitmap",
     "cmp_u8_bitmap",  "bitmap_words",         "popcount_words",
-    "cmp_f64_mask",   "masked_add_f64",       "add_f64",
-    "sum_f64",        "minmax_f64",           "affine_map_f64",
-    "rng_block",      "uniform_block",        "normal_block",
+    "cmp_f64_mask",   "masked_add_f64",       "sum_f64",
+    "minmax_f64",     "affine_map_f64",       "rng_block",
+    "uniform_block",  "normal_block",
 };
 static_assert(sizeof(kKernelNames) / sizeof(kKernelNames[0]) ==
               static_cast<size_t>(KernelId::kNumKernels));
@@ -208,8 +208,9 @@ void MaskedAddConstF64Word(double* acc, double c, uint64_t mask) {
   T().masked_add_const_f64_word(acc, c, mask);
 }
 
-void AddF64(double* acc, const double* x, size_t n) {
-  T().add_f64(acc, x, n);
+void MaskedAccumulateF64Word(double* sums, double* counts, const double* x,
+                             uint64_t mask) {
+  T().masked_accumulate_f64_word(sums, counts, x, mask);
 }
 
 void AddConstF64(double* acc, double c, size_t n) {

@@ -26,7 +26,8 @@ struct KernelTable {
   uint64_t (*cmp_f64_mask_word)(const double*, size_t, Cmp, double);
   void (*masked_add_f64_word)(double*, const double*, uint64_t);
   void (*masked_add_const_f64_word)(double*, double, uint64_t);
-  void (*add_f64)(double*, const double*, size_t);
+  void (*masked_accumulate_f64_word)(double*, double*, const double*,
+                                     uint64_t);
   void (*add_const_f64)(double*, double, size_t);
   void (*affine_map_f64)(const double*, size_t, double, double, double*);
   double (*sum_f64)(const double*, size_t);

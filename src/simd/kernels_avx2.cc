@@ -284,13 +284,35 @@ void MaskedAddConstF64WordAvx2(double* acc, double c, uint64_t mask) {
   }
 }
 
-void AddF64Avx2(double* acc, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(acc + i, _mm256_add_pd(_mm256_loadu_pd(acc + i),
-                                            _mm256_loadu_pd(x + i)));
+/// One blend per 4-lane group: every lane is loaded, added and stored, and
+/// the nibble's lane mask picks the sum for set bits and the old value for
+/// clear ones. Branch-free, so a random mask costs the same as a full one.
+template <bool kCounts>
+void MaskedAccumulateAvx2T(double* sums, double* counts, const double* x,
+                           uint64_t mask) {
+  const __m256d one = _mm256_set1_pd(1.0);
+  for (int g = 0; g < 16; ++g, mask >>= 4) {
+    const __m256d m = _mm256_castsi256_pd(_mm256_load_si256(
+        reinterpret_cast<const __m256i*>(kNibbleMask[mask & 0xF])));
+    const __m256d s = _mm256_loadu_pd(sums + g * 4);
+    _mm256_storeu_pd(
+        sums + g * 4,
+        _mm256_blendv_pd(s, _mm256_add_pd(s, _mm256_loadu_pd(x + g * 4)), m));
+    if constexpr (kCounts) {
+      const __m256d c = _mm256_loadu_pd(counts + g * 4);
+      _mm256_storeu_pd(counts + g * 4,
+                       _mm256_blendv_pd(c, _mm256_add_pd(c, one), m));
+    }
   }
-  for (; i < n; ++i) acc[i] += x[i];
+}
+
+void MaskedAccumulateF64WordAvx2(double* sums, double* counts,
+                                 const double* x, uint64_t mask) {
+  if (counts != nullptr) {
+    MaskedAccumulateAvx2T<true>(sums, counts, x, mask);
+  } else {
+    MaskedAccumulateAvx2T<false>(sums, nullptr, x, mask);
+  }
 }
 
 void AddConstF64Avx2(double* acc, double c, size_t n) {
@@ -398,7 +420,7 @@ const KernelTable kAvx2Table = {
     &CmpF64MaskWordAvx2,
     &MaskedAddF64WordAvx2,
     &MaskedAddConstF64WordAvx2,
-    &AddF64Avx2,
+    &MaskedAccumulateF64WordAvx2,
     &AddConstF64Avx2,
     &AffineMapF64Avx2,
     &SumF64Avx2,

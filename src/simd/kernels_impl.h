@@ -196,8 +196,13 @@ inline void MaskedAddConstF64WordRef(double* acc, double c, uint64_t mask) {
   }
 }
 
-inline void AddF64Ref(double* acc, const double* x, size_t n) {
-  for (size_t i = 0; i < n; ++i) acc[i] += x[i];
+inline void MaskedAccumulateF64WordRef(double* sums, double* counts,
+                                       const double* x, uint64_t mask) {
+  for (uint64_t rest = mask; rest != 0; rest &= rest - 1) {
+    const int b = std::countr_zero(rest);
+    sums[b] += x[b];
+    if (counts != nullptr) counts[b] += 1.0;
+  }
 }
 
 inline void AddConstF64Ref(double* acc, double c, size_t n) {

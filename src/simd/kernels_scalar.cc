@@ -28,7 +28,7 @@ const KernelTable kScalarTable = {
     &CmpF64MaskWordRef,
     &MaskedAddF64WordRef,
     &MaskedAddConstF64WordRef,
-    &AddF64Ref,
+    &MaskedAccumulateF64WordRef,
     &AddConstF64Ref,
     &AffineMapF64Ref,
     &SumF64Ref,

@@ -5,10 +5,10 @@
 
 /// SSE4.2 tier (2 doubles / 2 uint64 per vector). Compiled with
 /// -msse4.2 -ffp-contract=off. The float-heavy kernels use 128-bit vectors;
-/// kernels that gain nothing at 128 bits (byte/word bit ops, the masked
-/// word adds, the interleaved RNG state walk) reuse the scalar reference —
-/// which is bit-identical by the layer's contract, so the table stays a
-/// valid tier.
+/// kernels that gain nothing at 128 bits (byte/word bit ops, the
+/// partial-word masked adds, the interleaved RNG state walk) reuse the
+/// scalar reference — which is bit-identical by the layer's contract, so
+/// the table stays a valid tier.
 namespace mde::simd::internal {
 namespace {
 
@@ -172,13 +172,37 @@ uint64_t CmpF64MaskWordSse(const double* data, size_t nbits, Cmp op,
   return 0;
 }
 
-void AddF64Sse(double* acc, const double* x, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(acc + i,
-                  _mm_add_pd(_mm_loadu_pd(acc + i), _mm_loadu_pd(x + i)));
+/// Lane masks for a 2-bit slice of an activity word: entry m has lane l
+/// all-one iff bit l of m is set.
+alignas(16) constexpr uint64_t kPairMask[4][2] = {
+    {0, 0}, {~0ULL, 0}, {0, ~0ULL}, {~0ULL, ~0ULL}};
+
+/// The AVX2 blend scheme at 128 bits: add every lane, keep the old value
+/// where the mask bit is clear.
+template <bool kCounts>
+void MaskedAccumulateSseT(double* sums, double* counts, const double* x,
+                          uint64_t mask) {
+  const __m128d one = _mm_set1_pd(1.0);
+  for (int g = 0; g < 32; ++g, mask >>= 2) {
+    const __m128d m = _mm_castsi128_pd(_mm_load_si128(
+        reinterpret_cast<const __m128i*>(kPairMask[mask & 0x3])));
+    const __m128d s = _mm_loadu_pd(sums + g * 2);
+    _mm_storeu_pd(sums + g * 2,
+                  _mm_blendv_pd(s, _mm_add_pd(s, _mm_loadu_pd(x + g * 2)), m));
+    if constexpr (kCounts) {
+      const __m128d c = _mm_loadu_pd(counts + g * 2);
+      _mm_storeu_pd(counts + g * 2, _mm_blendv_pd(c, _mm_add_pd(c, one), m));
+    }
   }
-  for (; i < n; ++i) acc[i] += x[i];
+}
+
+void MaskedAccumulateF64WordSse(double* sums, double* counts, const double* x,
+                                uint64_t mask) {
+  if (counts != nullptr) {
+    MaskedAccumulateSseT<true>(sums, counts, x, mask);
+  } else {
+    MaskedAccumulateSseT<false>(sums, nullptr, x, mask);
+  }
 }
 
 void AddConstF64Sse(double* acc, double c, size_t n) {
@@ -271,7 +295,7 @@ const KernelTable kSse4Table = {
     &CmpF64MaskWordSse,
     &MaskedAddF64WordRef,
     &MaskedAddConstF64WordRef,
-    &AddF64Sse,
+    &MaskedAccumulateF64WordSse,
     &AddConstF64Sse,
     &AffineMapF64Sse,
     &SumF64Sse,

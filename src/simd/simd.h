@@ -71,7 +71,6 @@ enum class KernelId : int {
   kPopcountWords,
   kCmpF64MaskWord,
   kMaskedAddF64,
-  kAddF64,
   kSumF64,
   kMinMaxF64,
   kAffineMapF64,
@@ -150,8 +149,16 @@ void MaskedAddF64Word(double* acc, const double* x, uint64_t mask);
 /// acc[b] += c for every set bit b of mask.
 void MaskedAddConstF64Word(double* acc, double c, uint64_t mask);
 
-/// Dense elementwise: acc[i] += x[i].
-void AddF64(double* acc, const double* x, size_t n);
+/// For every set bit b of mask: sums[b] += x[b] and, unless counts is
+/// nullptr, counts[b] += 1.0 — the fused sum-and-count step of a masked
+/// SUM/AVG. Requires a FULL word: all 64 elements of each array must be
+/// addressable, because the vector tiers load, add and store every lane
+/// and then blend by the expanded mask. A lane whose bit is clear keeps
+/// its exact bits (NaN payloads, +-inf, -0.0), and a set lane gets the one
+/// IEEE add the reference does, so every tier is bit-identical to it. For
+/// a partial last word use the MaskedAdd*Word kernels above.
+void MaskedAccumulateF64Word(double* sums, double* counts, const double* x,
+                             uint64_t mask);
 
 /// Dense elementwise: acc[i] += c.
 void AddConstF64(double* acc, double c, size_t n);

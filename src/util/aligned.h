@@ -13,10 +13,28 @@ namespace mde {
 /// onto transparent huge pages.
 inline constexpr size_t kHugePageBytes = size_t{2} << 20;
 
-/// Asks the kernel to back the whole 2 MiB pages of [p, p + bytes) with
-/// transparent huge pages; `p` must be kHugePageBytes-aligned. Advice only:
-/// a kernel without THP, or with it switched off, ignores it.
-void AdviseHugePages(void* p, size_t bytes) noexcept;
+/// The allocation path for blocks of kHugePageBytes or more, shared by
+/// every AlignedAllocator instantiation. A freed huge block is parked in
+/// one process-wide slot instead of going back to the OS, so the next
+/// bundle block of the same size or smaller reuses pages that are already
+/// faulted in rather than paying mmap, page faults, kernel zeroing and
+/// munmap again:
+///  - AllocateHugeBlock takes the parked block when its capacity covers
+///    `bytes`; otherwise it releases the parked block first, then allocates
+///    fresh: 2 MiB-aligned and advised onto transparent huge pages.
+///  - FreeHugeBlock parks the block, releasing whichever of it and the
+///    previously parked block is smaller. At most one block is ever parked.
+/// Every live huge block remembers its true capacity, so a large block
+/// serving a smaller request is reused at full size after it is freed.
+/// Under AddressSanitizer the parked block is poisoned, and a reused one
+/// reads as 0xbe bytes, the fill CI's ASan job asks for fresh allocations
+/// (malloc_fill_byte=190). Thread-safe.
+void* AllocateHugeBlock(size_t bytes);
+void FreeHugeBlock(void* p) noexcept;
+
+/// Capacity in bytes of the parked huge block, 0 when the slot is empty.
+/// For tests.
+size_t ParkedHugeBlockBytes();
 
 /// Allocator for the hot value blocks: column blocks and bundle attribute
 /// blocks. It does three things std::allocator does not:
@@ -25,6 +43,7 @@ void AdviseHugePages(void* p, size_t bytes) noexcept;
 ///    moves on block starts.
 ///  - Aligns blocks of kHugePageBytes or more to 2 MiB and advises them onto
 ///    huge pages, so an 80 MB bundle block faults in ~40 pages, not ~20k.
+///    Those blocks are recycled through AllocateHugeBlock/FreeHugeBlock.
 ///  - Default-initializes: `resize(n)` and the size constructor leave
 ///    trivial elements uninitialized. Callers write every element or pass
 ///    a value (`resize(n, v)`, `assign(n, v)`); copies and push_back are
@@ -60,14 +79,14 @@ class AlignedAllocator {
     if (bytes < kHugePageBytes) {
       return static_cast<T*>(::operator new(bytes, std::align_val_t{Align}));
     }
-    void* p = ::operator new(bytes, std::align_val_t{kHugePageBytes});
-    AdviseHugePages(p, bytes);
-    return static_cast<T*>(p);
+    return static_cast<T*>(AllocateHugeBlock(bytes));
   }
   void deallocate(T* p, size_t n) noexcept {
-    ::operator delete(p, std::align_val_t{n * sizeof(T) < kHugePageBytes
-                                              ? Align
-                                              : kHugePageBytes});
+    if (n * sizeof(T) < kHugePageBytes) {
+      ::operator delete(p, std::align_val_t{Align});
+    } else {
+      FreeHugeBlock(p);
+    }
   }
 
   /// Value-less construction (what resize(n) asks for) default-initializes;

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 #include "mcdb/mcdb.h"
 #include "mcdb/pregen.h"
 #include "mcdb/vg_function.h"
+#include "obs/mem.h"
 #include "row_oracle.h"
 #include "table/query.h"
 #include "util/distributions.h"
@@ -221,35 +224,151 @@ TEST(BundleTest, FilterStochIsPerRepetition) {
 /// a single bit of the result.
 TEST(BundleTest, ParallelExecutionIsBitIdentical) {
   MonteCarloDb db = MakeSbpDb(120.0, 15.0, 700);  // > 2 chunks of 256 rows
-  const size_t reps = 100;
   const uint64_t seed = 31;
 
-  auto run = [&](ThreadPool* pool) {
-    auto bundles = GenerateBundles(db, db.stochastic_specs()[0], "SBP", reps,
-                                   seed, pool);
-    EXPECT_TRUE(bundles.ok());
-    auto sums = bundles.value().AggregateSum("SBP");
-    EXPECT_TRUE(sums.ok());
-    auto high = bundles.value().FilterStoch("SBP", CmpOp::kGt, 120.0);
-    EXPECT_TRUE(high.ok());
-    auto avg = high.value().AggregateAvg("SBP");
-    EXPECT_TRUE(avg.ok());
-    std::vector<double> out = sums.value();
-    out.insert(out.end(), avg.value().begin(), avg.value().end());
-    return out;
-  };
+  // 64 reps: one full mask word per row; 100: a full word plus a partial
+  // one; 1000: fifteen full words, a partial one, and a value block big
+  // enough for the huge-block recycler.
+  for (size_t reps : {64u, 100u, 1000u}) {
+    auto run = [&](ThreadPool* pool) {
+      auto bundles = GenerateBundles(db, db.stochastic_specs()[0], "SBP",
+                                     reps, seed, pool);
+      EXPECT_TRUE(bundles.ok());
+      auto sums = bundles.value().AggregateSum("SBP");
+      EXPECT_TRUE(sums.ok());
+      auto high = bundles.value().FilterStoch("SBP", CmpOp::kGt, 120.0);
+      EXPECT_TRUE(high.ok());
+      auto avg = high.value().AggregateAvg("SBP");
+      EXPECT_TRUE(avg.ok());
+      auto high_sums = high.value().AggregateSum("SBP");
+      EXPECT_TRUE(high_sums.ok());
+      auto groups = high.value().GroupSum("GENDER", "SBP");
+      EXPECT_TRUE(groups.ok());
+      std::vector<double> out = sums.value();
+      out.insert(out.end(), avg.value().begin(), avg.value().end());
+      out.insert(out.end(), high_sums.value().begin(),
+                 high_sums.value().end());
+      for (const auto& g : groups.value()) {
+        out.insert(out.end(), g.sums.begin(), g.sums.end());
+      }
+      return out;
+    };
 
-  const std::vector<double> serial = run(nullptr);
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    const std::vector<double> parallel = run(&pool);
-    ASSERT_EQ(parallel.size(), serial.size());
+    const std::vector<double> serial = run(nullptr);
+    // Back to back in one process: at 1000 reps this generation runs on the
+    // value block the first one just freed.
+    const std::vector<double> again = run(nullptr);
+    ASSERT_EQ(again.size(), serial.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-      // EXPECT_EQ, not EXPECT_NEAR: the contract is bitwise.
-      EXPECT_EQ(parallel[i], serial[i])
-          << "thread count " << threads << " diverged at sample " << i;
+      EXPECT_EQ(again[i], serial[i])
+          << "reps " << reps << ": second run diverged at sample " << i;
+    }
+    for (size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads);
+      const std::vector<double> parallel = run(&pool);
+      ASSERT_EQ(parallel.size(), serial.size());
+      for (size_t i = 0; i < serial.size(); ++i) {
+        // EXPECT_EQ, not EXPECT_NEAR: the contract is bitwise.
+        EXPECT_EQ(parallel[i], serial[i])
+            << "reps " << reps << ", thread count " << threads
+            << " diverged at sample " << i;
+      }
     }
   }
+}
+
+/// A bundle query frees its value block and the next one of the same size
+/// takes it back from the huge-block recycler: the second generation must
+/// write every element of a block that still holds the first one's values
+/// (0xbe bytes under ASan), and produce the same table.
+TEST(BundleTest, BackToBackGenerationReusesTheValueBlock) {
+  MonteCarloDb db = MakeSbpDb(120.0, 15.0, 700);
+  const size_t reps = 1000;  // 700 x 1000 doubles: a huge block
+  ThreadPool pool(3);
+  std::vector<double> first_values;
+  std::vector<double> first_avg;
+  const void* first_block = nullptr;
+  {
+    auto b = GenerateBundles(db, db.stochastic_specs()[0], "SBP", reps, 17,
+                             &pool);
+    ASSERT_TRUE(b.ok());
+    const auto& block = b.value().stoch_block(0);
+    first_block = block.data();
+    first_values.assign(block.begin(), block.end());
+    first_avg = b.value().FilterStoch("SBP", CmpOp::kGt, 120.0)
+                    .value()
+                    .AggregateAvg("SBP")
+                    .value();
+  }
+  auto b = GenerateBundles(db, db.stochastic_specs()[0], "SBP", reps, 17,
+                           &pool);
+  ASSERT_TRUE(b.ok());
+  const auto& block = b.value().stoch_block(0);
+  EXPECT_EQ(static_cast<const void*>(block.data()), first_block);
+  ASSERT_EQ(block.size(), first_values.size());
+  EXPECT_EQ(std::memcmp(block.data(), first_values.data(),
+                        first_values.size() * sizeof(double)),
+            0);
+  const std::vector<double> avg = b.value()
+                                      .FilterStoch("SBP", CmpOp::kGt, 120.0)
+                                      .value()
+                                      .AggregateAvg("SBP")
+                                      .value();
+  ASSERT_EQ(avg.size(), first_avg.size());
+  for (size_t i = 0; i < avg.size(); ++i) EXPECT_EQ(avg[i], first_avg[i]);
+}
+
+/// A filter that keeps every row, and MapStoch, share the source's
+/// deterministic rows; the memory pool charges them once.
+TEST(BundleTest, IdentityFilterSharesDeterministicRows) {
+  MonteCarloDb db = MakeSbpDb(120.0, 15.0, 300);
+  std::optional<BundleTable> src;
+  src.emplace(
+      GenerateBundles(db, db.stochastic_specs()[0], "SBP", 100, 7).value());
+  const uint64_t rows_bytes =
+      src->ApproxBytes() - src->stoch_block(0).capacity() * sizeof(double) -
+      src->active_words().capacity() * sizeof(uint64_t);
+  EXPECT_GE(rows_bytes, src->num_rows() * sizeof(Row));
+
+  const uint64_t live_before = obs::LiveBytes("mcdb.bundle");
+  // Every finite value exceeds -inf: no row dies.
+  BundleTable all =
+      src->FilterStoch("SBP", CmpOp::kGt,
+                       -std::numeric_limits<double>::infinity())
+          .value();
+  ASSERT_EQ(all.num_rows(), src->num_rows());
+  EXPECT_EQ(&all.det_row(0), &src->det_row(0));
+  EXPECT_EQ(&all.stoch_block(0), &src->stoch_block(0));
+  // Shared rows and block stay on the source's account; the filter adds
+  // only its own masks.
+  const uint64_t masks = all.active_words().capacity() * sizeof(uint64_t);
+  EXPECT_EQ(all.ApproxBytes(), masks);
+  EXPECT_EQ(obs::LiveBytes("mcdb.bundle") - live_before, masks);
+
+  {
+    auto mapped = src->MapStoch(
+        "TWICE", [](const Row&, const std::vector<double>& s) {
+          return 2.0 * s[0];
+        });
+    ASSERT_TRUE(mapped.ok());
+    EXPECT_EQ(&mapped.value().det_row(0), &src->det_row(0));
+  }
+
+  // A filter that drops rows builds its own.
+  auto pred = table::ColumnCompare(src->det_schema(), "GENDER", CmpOp::kEq,
+                                   Value("M"));
+  ASSERT_TRUE(pred.ok());
+  BundleTable males = src->FilterDet(pred.value());
+  ASSERT_EQ(males.num_rows(), src->num_rows() / 2);
+  EXPECT_EQ(males.det_row(0)[0].AsInt(), 1);
+  EXPECT_NE(&males.det_row(0), &src->det_row(1));
+
+  // Once the source is gone the filter is the sole owner and charges the
+  // rows and the value block itself.
+  src.reset();
+  EXPECT_EQ(all.ApproxBytes(),
+            rows_bytes + all.stoch_block(0).capacity() * sizeof(double) +
+                masks);
 }
 
 /// Row materialization round-trips the packed columnar storage.

@@ -152,7 +152,7 @@ McQuerySpec PortfolioValueQuery() {
 TEST(MvccTest, InstallPinReleaseReclaim) {
   VersionChain chain(/*min_retain=*/1);
   EXPECT_EQ(chain.head_version(), VersionChain::kNone);
-  EXPECT_FALSE(chain.PinHead().valid());
+  EXPECT_FALSE(chain.Pin(chain.head_version()).valid());
   EXPECT_FALSE(chain.Pin(0).valid());
 
   EXPECT_EQ(chain.Install(MarkerState(0)), 0u);
@@ -165,7 +165,7 @@ TEST(MvccTest, InstallPinReleaseReclaim) {
   EXPECT_FALSE(chain.Pin(0).valid());
 
   // Pin the head; installs must not touch it while pinned.
-  SnapshotRef pinned = chain.PinHead();
+  SnapshotRef pinned = chain.Pin(chain.head_version());
   ASSERT_TRUE(pinned.valid());
   EXPECT_EQ(pinned.version(), 1u);
   const uint64_t sum_before = StateChecksum(pinned.state());
@@ -194,7 +194,7 @@ TEST(MvccTest, InstallPinReleaseReclaim) {
 TEST(MvccTest, MoveTransfersThePin) {
   VersionChain chain(1);
   chain.Install(MarkerState(0));
-  SnapshotRef a = chain.PinHead();
+  SnapshotRef a = chain.Pin(chain.head_version());
   SnapshotRef b = std::move(a);
   EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move): spec'd empty
   ASSERT_TRUE(b.valid());
@@ -234,7 +234,7 @@ TEST(MvccTest, ConcurrentSnapshotHammer) {
       std::vector<std::pair<SnapshotRef, uint64_t>> held;  // ref, checksum
       for (int iter = 0; iter < kReaderIters; ++iter) {
         if (held.size() < 4 || rng.NextBounded(2) == 0) {
-          SnapshotRef snap = chain.PinHead();
+          SnapshotRef snap = chain.Pin(chain.head_version());
           if (snap.valid()) {
             const uint64_t version = snap.version();
             const uint64_t sum = StateChecksum(snap.state());

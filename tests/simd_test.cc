@@ -287,22 +287,70 @@ TEST(SimdKernelTest, MaskedAndDenseAddsMatchScalarBitwise) {
     });
   }
   for (size_t n : kLens) {
-    const std::vector<double> xs = RandomDoubles(n, 0x777 + n, false);
     const std::vector<double> a0 = RandomDoubles(n, 0x888 + n, false);
-    std::vector<double> ref = a0;
-    for (size_t i = 0; i < n; ++i) ref[i] += xs[i];
     std::vector<double> refc = a0;
     for (size_t i = 0; i < n; ++i) refc[i] += -1.25;
     ForEachTier([&](Tier t) {
       std::vector<double> acc = a0;
-      simd::AddF64(acc.data(), xs.data(), n);
-      for (size_t j = 0; j < n; ++j) {
-        ASSERT_TRUE(BitEq(acc[j], ref[j])) << simd::TierName(t) << " n=" << n;
-      }
-      acc = a0;
       simd::AddConstF64(acc.data(), -1.25, n);
       for (size_t j = 0; j < n; ++j) {
         ASSERT_TRUE(BitEq(acc[j], refc[j])) << simd::TierName(t) << " n=" << n;
+      }
+    });
+  }
+}
+
+TEST(SimdKernelTest, MaskedAccumulateMatchesReferenceBitwiseOnEveryTier) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(0x7ff8000000000123ULL),  // NaN with a payload
+      std::bit_cast<double>(0x7ff0000000000001ULL),  // signaling NaN
+      inf, -inf, -0.0, 0.0};
+  constexpr size_t kSpecials = sizeof(specials) / sizeof(specials[0]);
+  std::vector<double> x = RandomDoubles(64, 0x2468, false);
+  std::vector<double> sums0 = RandomDoubles(64, 0x1359, false);
+  std::vector<double> counts0(64);
+  for (size_t j = 0; j < 64; ++j) counts0[j] = static_cast<double>(j % 7);
+  // Specials sit on disjoint lanes of x and of each accumulator: IEEE
+  // leaves open which payload a sum of two NaNs keeps, so no lane adds two.
+  for (size_t j = 0; j < 64; j += 4) {
+    x[j] = specials[(j / 4) % kSpecials];
+    sums0[j + 1] = specials[(j / 4 + 3) % kSpecials];
+    counts0[j + 3] = specials[(j / 4 + 5) % kSpecials];
+  }
+  x[2] = inf;  // inf + -inf on a set lane: a fresh NaN
+  sums0[2] = -inf;
+
+  std::vector<uint64_t> masks = {0, ~0ULL, 0x5555555555555555ULL,
+                                 0xaaaaaaaaaaaaaaaaULL};
+  Rng rng(0xacc);
+  for (int i = 0; i < 4; ++i) masks.push_back(rng.Next());
+  for (uint64_t mask : masks) {
+    std::vector<double> ref_sums = sums0;
+    std::vector<double> ref_counts = counts0;
+    for (uint64_t m = mask; m != 0; m &= m - 1) {
+      const int b = std::countr_zero(m);
+      ref_sums[b] += x[b];
+      ref_counts[b] += 1.0;
+    }
+    ForEachTier([&](Tier t) {
+      std::vector<double> sums = sums0;
+      std::vector<double> counts = counts0;
+      simd::MaskedAccumulateF64Word(sums.data(), counts.data(), x.data(),
+                                    mask);
+      for (int j = 0; j < 64; ++j) {
+        ASSERT_TRUE(BitEq(sums[j], ref_sums[j]))
+            << simd::TierName(t) << " mask=" << mask << " j=" << j;
+        ASSERT_TRUE(BitEq(counts[j], ref_counts[j]))
+            << simd::TierName(t) << " mask=" << mask << " j=" << j;
+      }
+      // Sum-only form.
+      sums = sums0;
+      simd::MaskedAccumulateF64Word(sums.data(), nullptr, x.data(), mask);
+      for (int j = 0; j < 64; ++j) {
+        ASSERT_TRUE(BitEq(sums[j], ref_sums[j]))
+            << simd::TierName(t) << " sum-only mask=" << mask << " j=" << j;
       }
     });
   }
