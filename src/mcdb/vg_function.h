@@ -51,9 +51,9 @@ class VgFunction {
   /// out[0..n). The bundle generator calls this once per tuple with that
   /// tuple's private substream, so overrides may validate and bind
   /// parameters once and sample in a tight loop (and may use a blocked
-  /// sampling scheme — e.g. consuming both Marsaglia polar variates — so
-  /// the realized values need not equal n unit GenerateScalar calls; only
-  /// the joint distribution is contractual). A false return must leave
+  /// sampling scheme — e.g. BatchRng's vectorized Box-Muller — so the
+  /// realized values need not equal n unit GenerateScalar calls; only the
+  /// joint distribution is contractual). A false return must leave
   /// `rng` untouched. The default delegates to GenerateScalar, whose
   /// param-dependent failure is decided before any sampling, so a false
   /// unit call can only happen at i == 0.
@@ -77,8 +77,8 @@ class NormalVg : public VgFunction {
                   std::vector<table::Row>* out) const override;
   bool GenerateScalar(const table::Row& params, Rng& rng,
                       double* out) const override;
-  /// Blocked sampler: consumes both Marsaglia polar variates per accept,
-  /// halving the log/sqrt cost that dominates bundle generation.
+  /// Blocked sampler: BatchRng's vectorized Box-Muller fills the block
+  /// (both variates of each pair, no rejection), then one affine pass.
   bool GenerateScalarN(const table::Row& params, Rng& rng, size_t n,
                        double* out) const override;
 

@@ -330,9 +330,6 @@ Result<std::vector<double>> MonteCarloChain(
     q95.Add(v.value());
     MDE_OBS_GAUGE_SET("simsql.mc.q50", q50.Value());
     MDE_OBS_GAUGE_SET("simsql.mc.q95", q95.Value());
-    MDE_OBS_GAUGE_SET("simsql.mc.acceptance_rate",
-                      static_cast<double>(samples.size()) /
-                          static_cast<double>(rep + 1));
   }
   return samples;
 }

@@ -114,20 +114,14 @@ void ColumnBuilder::AppendNull() {
   MarkNull();
 }
 
-void ColumnBuilder::AppendInt64(int64_t v) {
-  MDE_CHECK(col_.type == DataType::kInt64);
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
-  }
+void ColumnBuilder::AppendInt64WithNulls(int64_t v) {
+  if ((col_.size >> 6) >= col_.valid.size()) col_.valid.push_back(0);
   col_.i64.push_back(v);
   MarkValid();
 }
 
-void ColumnBuilder::AppendDouble(double v) {
-  MDE_CHECK(col_.type == DataType::kDouble);
-  if (has_nulls_ && (col_.size >> 6) >= col_.valid.size()) {
-    col_.valid.push_back(0);
-  }
+void ColumnBuilder::AppendDoubleWithNulls(double v) {
+  if ((col_.size >> 6) >= col_.valid.size()) col_.valid.push_back(0);
   col_.f64.push_back(v);
   MarkValid();
 }

@@ -10,6 +10,7 @@
 #include "table/table.h"
 #include "table/value.h"
 #include "util/aligned.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace mde::table {
@@ -65,8 +66,21 @@ class ColumnBuilder {
   size_t size() const { return col_.size; }
 
   void AppendNull();
-  void AppendInt64(int64_t v);
-  void AppendDouble(double v);
+  /// The typed numeric appends are inline for the common no-null column
+  /// (per-row transitions append one value per draw); a column that has
+  /// seen a null takes the out-of-line bitmap path.
+  void AppendInt64(int64_t v) {
+    MDE_CHECK(col_.type == DataType::kInt64);
+    if (has_nulls_) return AppendInt64WithNulls(v);
+    col_.i64.push_back(v);
+    ++col_.size;
+  }
+  void AppendDouble(double v) {
+    MDE_CHECK(col_.type == DataType::kDouble);
+    if (has_nulls_) return AppendDoubleWithNulls(v);
+    col_.f64.push_back(v);
+    ++col_.size;
+  }
   void AppendBool(bool v);
   void AppendString(const std::string& v);
   /// Boxed append: null always accepted; otherwise the Value's type must
@@ -78,6 +92,8 @@ class ColumnBuilder {
   std::shared_ptr<const Column> Finish();
 
  private:
+  void AppendInt64WithNulls(int64_t v);
+  void AppendDoubleWithNulls(double v);
   void MarkValid();
   void MarkNull();
 

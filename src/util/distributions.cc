@@ -11,16 +11,60 @@ double SampleUniform(Rng& rng, double lo, double hi) {
   return lo + (hi - lo) * rng.NextDouble();
 }
 
+const NormalZiggurat& NormalZigguratTables() {
+  static const NormalZiggurat tables = [] {
+    constexpr int n = NormalZiggurat::kLayers;
+    constexpr double r = NormalZiggurat::kR;
+    constexpr double v = NormalZiggurat::kV;
+    auto f = [](double x) { return std::exp(-0.5 * x * x); };
+    NormalZiggurat t;
+    t.x[0] = v / f(r);
+    t.x[1] = r;
+    // Each layer's top edge is where the next rectangle of area v ends.
+    for (int i = 1; i < n - 1; ++i) {
+      t.x[i + 1] = std::sqrt(-2.0 * std::log(v / t.x[i] + f(t.x[i])));
+    }
+    t.x[n] = 0.0;
+    for (int i = 0; i <= n; ++i) t.f[i] = f(t.x[i]);
+    return t;
+  }();
+  return tables;
+}
+
+namespace {
+
+/// |Z| conditioned on |Z| > R, by Marsaglia's (1964) exponential method.
+double NormalTail(Rng& rng) {
+  constexpr double r = NormalZiggurat::kR;
+  double x, y;
+  do {
+    x = -std::log1p(-rng.NextDouble()) / r;
+    y = -std::log1p(-rng.NextDouble());
+  } while (y + y < x * x);
+  return r + x;
+}
+
+}  // namespace
+
 double SampleStandardNormal(Rng& rng) {
-  // Marsaglia polar method; discard the second variate to keep the sampler
-  // stateless (bit-reproducibility across call orders matters more here than
-  // the factor-of-two cost).
+  const NormalZiggurat& z = NormalZigguratTables();
   while (true) {
-    double u = 2.0 * rng.NextDouble() - 1.0;
-    double v = 2.0 * rng.NextDouble() - 1.0;
-    double s = u * u + v * v;
-    if (s > 0.0 && s < 1.0) {
-      return u * std::sqrt(-2.0 * std::log(s) / s);
+    const uint64_t bits = rng.Next();
+    const size_t i = bits & 0xff;
+    // Bits 11..63 as a signed 53-bit integer: u in [-1, 1), independent of
+    // the layer's bits 0..7.
+    const double u =
+        static_cast<double>(static_cast<int64_t>(bits) >> 11) * 0x1p-52;
+    const double x = u * z.x[i];
+    if (std::fabs(x) < z.x[i + 1]) return x;
+    if (i == 0) {
+      const double t = NormalTail(rng);
+      return u < 0.0 ? -t : t;
+    }
+    // Wedge: a uniform height in the layer, under the density or redraw.
+    if (z.f[i + 1] + (z.f[i] - z.f[i + 1]) * rng.NextDouble() <
+        std::exp(-0.5 * x * x)) {
+      return x;
     }
   }
 }

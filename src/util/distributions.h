@@ -16,8 +16,29 @@ namespace mde {
 /// Uniform real on [lo, hi).
 double SampleUniform(Rng& rng, double lo, double hi);
 
-/// Standard normal via Marsaglia's polar method.
+/// Standard normal by the 256-layer ziggurat of Marsaglia & Tsang (2000),
+/// with Doornik's (2005) fix: each attempt draws one 64-bit word whose low
+/// 8 bits pick the layer and whose disjoint high 53 bits give the signed
+/// abscissa, so the two are independent. About 98.5% of draws cost that one
+/// word, a multiply and a compare; the rest take a wedge test (one more
+/// uniform and an exp) or, in layer 0, Marsaglia's exponential tail beyond
+/// R. Stateless: every draw is a pure function of the generator state.
 double SampleStandardNormal(Rng& rng);
+
+/// The ziggurat's layer tables, exposed for their tests. With
+/// f(x) = exp(-x^2/2), layer i in 1..255 is the rectangle
+/// [0, x[i]] x [f[i], f[i+1]] and layer 0 is the strip [0, R] x [0, f(R)]
+/// plus the tail beyond R, drawn as width x[0] = V / f(R); every layer has
+/// area V. x[1] = R, x[256] = 0, and f[i] = f(x[i]). Built once, on first
+/// use (thread-safe).
+struct NormalZiggurat {
+  static constexpr int kLayers = 256;
+  static constexpr double kR = 3.6541528853610088;
+  static constexpr double kV = 0.00492867323399;
+  double x[kLayers + 1];
+  double f[kLayers + 1];
+};
+const NormalZiggurat& NormalZigguratTables();
 
 /// Normal with the given mean and standard deviation (sigma >= 0).
 double SampleNormal(Rng& rng, double mean, double sigma);

@@ -1,32 +1,10 @@
 #include "util/rng.h"
 
 namespace mde {
-namespace {
-
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-}  // namespace
 
 Rng::Rng(uint64_t seed) {
   SplitMix64 sm(seed);
   for (auto& w : s_) w = sm.Next();
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0,1) with full double precision.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 uint64_t Rng::NextBounded(uint64_t bound) {

@@ -41,12 +41,25 @@ class Rng {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
 
-  /// Next 64 random bits.
+  /// Next 64 random bits. Inline, like NextDouble(): the scalar samplers
+  /// and every per-row transition call them once per draw.
   result_type operator()() { return Next(); }
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(s_[0] + s_[3], 23) + s_[0];
+    const uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = Rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform double in [0, 1).
-  double NextDouble();
+  /// Uniform double in [0, 1): the 53 high bits at full double precision.
+  double NextDouble() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [0, bound) with no modulo bias (Lemire's method).
   uint64_t NextBounded(uint64_t bound);
@@ -73,6 +86,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t s_[4];
 };
 

@@ -170,17 +170,29 @@ TEST(MainEffectsTest, RecoversCoefficientsFromResolutionIII) {
 }
 
 TEST(MainEffectsTest, ImportantFactorSelection) {
+  // Factors 0 and 2 have large effects, factor 1 a small real one
+  // (beta = 0.05) and factors 3-6 none. Factor 1's estimate sits near the
+  // 5x-median cut, so whether it is flagged depends on the seed; what holds
+  // at every seed is that the two large factors are flagged and the inert
+  // ones are not.
   const std::vector<double> beta = {3.0, 0.05, -2.5, 0.0, 0.0, 0.0, 0.0};
   linalg::Matrix d = Resolution3Design7Factors();
-  Rng rng(4);
-  linalg::Vector y(d.rows());
-  for (size_t r = 0; r < d.rows(); ++r) {
-    y[r] = LinearResponse(d, r, beta, 0.02, rng);
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    linalg::Vector y(d.rows());
+    for (size_t r = 0; r < d.rows(); ++r) {
+      y[r] = LinearResponse(d, r, beta, 0.02, rng);
+    }
+    auto effects = ComputeMainEffects(d, y);
+    ASSERT_TRUE(effects.ok());
+    const std::vector<size_t> important =
+        ImportantFactors(effects.value(), 5.0);
+    const std::set<size_t> flagged(important.begin(), important.end());
+    EXPECT_TRUE(flagged.count(0) && flagged.count(2)) << "seed " << seed;
+    for (size_t f = 3; f < 7; ++f) {
+      EXPECT_EQ(flagged.count(f), 0u) << "seed " << seed << " factor " << f;
+    }
   }
-  auto effects = ComputeMainEffects(d, y);
-  ASSERT_TRUE(effects.ok());
-  auto important = ImportantFactors(effects.value(), 5.0);
-  EXPECT_EQ(important, (std::vector<size_t>{0, 2}));
 }
 
 TEST(MainEffectsTest, RejectsNonTwoLevelDesign) {

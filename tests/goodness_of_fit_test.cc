@@ -3,6 +3,7 @@
 /// deterministic; bounds are set at the chi-square 99.9% quantile so a
 /// correct sampler passes with huge margin while a biased one fails.
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -53,6 +54,62 @@ TEST(GoodnessOfFitTest, StandardNormalDeciles) {
   }
   // 9 dof, 99.9% quantile ~ 27.9.
   EXPECT_LT(ChiSquare(counts, std::vector<double>(10, 0.1), n), 27.9);
+}
+
+TEST(GoodnessOfFitTest, StandardNormal256EqualProbabilityBins) {
+  // As many equal-mass bins as the ziggurat has layers, binned by the exact
+  // CDF: ~9766 expected draws per bin.
+  Rng rng(107);
+  const size_t n = 2500000;
+  std::vector<size_t> counts(256, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const double p = NormalCdf(SampleStandardNormal(rng), 0.0, 1.0);
+    ++counts[std::min<size_t>(static_cast<size_t>(p * 256.0), 255)];
+  }
+  // 255 dof, 99.9% quantile ~ 330.5 (Wilson-Hilferty).
+  EXPECT_LT(ChiSquare(counts, std::vector<double>(256, 1.0 / 256), n), 330.5);
+}
+
+TEST(GoodnessOfFitTest, StandardNormalTailFrequencies) {
+  // Draws beyond +-2 and +-3 come partly from the outer layers' wedges,
+  // draws beyond +-R only from the exponential tail path, and +-4.5 checks
+  // that path deep in the tail. Each one-sided count must lie within 3.29
+  // binomial standard deviations (two-sided 99.9%) of n * Phi(-t).
+  Rng rng(108);
+  const size_t n = 8000000;
+  const double t[] = {2.0, 3.0, NormalZiggurat::kR, 4.5};
+  size_t above[4] = {}, below[4] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const double x = SampleStandardNormal(rng);
+    for (int k = 0; k < 4; ++k) {
+      above[k] += x > t[k];
+      below[k] += x < -t[k];
+    }
+  }
+  for (int k = 0; k < 4; ++k) {
+    const double p = NormalCdf(-t[k], 0.0, 1.0);
+    const double mean = static_cast<double>(n) * p;
+    const double bound = 3.29 * std::sqrt(mean * (1.0 - p)) + 1.0;
+    EXPECT_NEAR(static_cast<double>(above[k]), mean, bound) << "x > " << t[k];
+    EXPECT_NEAR(static_cast<double>(below[k]), mean, bound) << "x < -" << t[k];
+  }
+}
+
+TEST(GoodnessOfFitTest, StandardNormalLagOneCorrelationNearZero) {
+  Rng rng(109);
+  const size_t n = 1000000;
+  std::vector<double> xs(n);
+  for (double& x : xs) x = SampleStandardNormal(rng);
+  double mean = 0.0;
+  for (double x : xs) mean += x;
+  mean /= static_cast<double>(n);
+  double cov = 0.0, var = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    var += (xs[i] - mean) * (xs[i] - mean);
+    if (i + 1 < n) cov += (xs[i] - mean) * (xs[i + 1] - mean);
+  }
+  // Under independence r is ~N(0, 1/n); 3.29 sd is the 99.9% bound.
+  EXPECT_LT(std::fabs(cov / var), 3.29 / std::sqrt(static_cast<double>(n)));
 }
 
 TEST(GoodnessOfFitTest, ExponentialQuartiles) {

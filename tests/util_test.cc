@@ -20,6 +20,35 @@
 namespace mde {
 namespace {
 
+// Defined first so that, when the whole binary runs, these are the
+// process's first normal draws: eight threads race to build the ziggurat
+// tables (built once, on first use) and must all draw from complete ones.
+TEST(ZigguratTest, ConcurrentFirstDrawsMatchSingleThreadedRun) {
+  constexpr int kThreads = 8;
+  constexpr int kDraws = 1000;
+  std::vector<std::vector<double>> got(kThreads, std::vector<double>(kDraws));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + t);
+      while (!go.load(std::memory_order_acquire)) {
+      }
+      for (double& x : got[t]) x = SampleStandardNormal(rng);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    Rng rng(900 + t);
+    for (int i = 0; i < kDraws; ++i) {
+      const double want = SampleStandardNormal(rng);
+      ASSERT_EQ(std::memcmp(&got[t][i], &want, sizeof want), 0)
+          << "thread " << t << " draw " << i;
+    }
+  }
+}
+
 TEST(StatusTest, OkByDefault) {
   Status s;
   EXPECT_TRUE(s.ok());
@@ -95,6 +124,60 @@ TEST(DistributionsTest, NormalMoments) {
   for (int i = 0; i < 100000; ++i) stat.Add(SampleNormal(rng, 3.0, 2.0));
   EXPECT_NEAR(stat.mean(), 3.0, 0.05);
   EXPECT_NEAR(stat.stddev(), 2.0, 0.05);
+}
+
+TEST(ZigguratTest, LayerTablesHaveEqualAreasAndDecreasingEdges) {
+  const NormalZiggurat& z = NormalZigguratTables();
+  constexpr int n = NormalZiggurat::kLayers;
+  constexpr double r = NormalZiggurat::kR;
+  constexpr double v = NormalZiggurat::kV;
+  EXPECT_EQ(z.x[1], r);
+  EXPECT_EQ(z.x[n], 0.0);
+  EXPECT_NEAR(z.x[0], 3.91075795953709, 1e-13);
+  EXPECT_NEAR(z.x[n - 1], 0.21524189591327381, 1e-13);
+  for (int i = 0; i < n; ++i) EXPECT_GT(z.x[i], z.x[i + 1]) << "edge " << i;
+  for (int i = 0; i <= n; ++i) {
+    EXPECT_DOUBLE_EQ(z.f[i], std::exp(-0.5 * z.x[i] * z.x[i])) << "edge " << i;
+  }
+  // Layer 0 is the strip under the density up to R plus the tail beyond it,
+  // drawn as a rectangle of width x[0] and height f(R).
+  const double base = r * std::exp(-0.5 * r * r) +
+                      std::sqrt(M_PI / 2.0) * std::erfc(r / std::sqrt(2.0));
+  EXPECT_NEAR(base / v, 1.0, 1e-9);
+  EXPECT_NEAR(z.x[0] * z.f[1] / v, 1.0, 1e-9);
+  for (int i = 1; i < n; ++i) {
+    EXPECT_NEAR(z.x[i] * (z.f[i + 1] - z.f[i]) / v, 1.0, 1e-9)
+        << "layer " << i;
+  }
+}
+
+TEST(ZigguratTest, DrawsArePureFunctionsOfGeneratorState) {
+  // a's draws are interleaved with draws on another generator, b's are
+  // not; equal states must still give bit-equal draws and equal states
+  // after them, so the sampler keeps nothing between calls.
+  const int kDraws = 20000;
+  Rng a(77), b(77), other(78);
+  std::vector<double> xs(kDraws), ys(kDraws);
+  std::vector<Rng::State> as(kDraws), bs(kDraws);
+  for (int i = 0; i < kDraws; ++i) {
+    for (int k = 0; k < i % 3; ++k) SampleStandardNormal(other);
+    xs[i] = SampleStandardNormal(a);
+    as[i] = a.state();
+  }
+  for (int i = 0; i < kDraws; ++i) {
+    ys[i] = SampleStandardNormal(b);
+    bs[i] = b.state();
+  }
+  for (int i = 0; i < kDraws; ++i) {
+    ASSERT_EQ(std::memcmp(&xs[i], &ys[i], sizeof(double)), 0) << "draw " << i;
+    ASSERT_EQ(as[i], bs[i]) << "draw " << i;
+  }
+  // Restoring a saved state replays the draw.
+  Rng c(79);
+  const Rng::State saved = c.state();
+  const double first = SampleStandardNormal(c);
+  c.set_state(saved);
+  EXPECT_EQ(SampleStandardNormal(c), first);
 }
 
 TEST(DistributionsTest, ExponentialMoments) {
