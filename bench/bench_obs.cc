@@ -81,18 +81,6 @@ void BM_SpanEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanEnabled);
 
-void BM_WelfordAdd(benchmark::State& state) {
-  obs::Welford w;
-  double v = 0.0;
-  for (auto _ : state) {
-    w.Add(v);
-    v = v < 1e6 ? v + 17.0 : 0.0;
-  }
-  benchmark::DoNotOptimize(w);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_WelfordAdd);
-
 void BM_P2Observe(benchmark::State& state) {
   obs::P2Quantile q(0.95);
   double v = 0.0;
@@ -104,19 +92,6 @@ void BM_P2Observe(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_P2Observe);
-
-void BM_CiMonitorObserve(benchmark::State& state) {
-  // Publishing variant: every Add updates the half-width + count gauges.
-  obs::CiMonitor ci("bench.ci_halfwidth");
-  double v = 0.0;
-  for (auto _ : state) {
-    ci.Add(v);
-    v = v < 1e6 ? v + 17.0 : 0.0;
-  }
-  benchmark::DoNotOptimize(ci);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CiMonitorObserve);
 
 /// Full scrape cost: Registry::Snapshot + derived gauges + text rendering,
 /// on whatever metrics this binary has registered so far. This is what one

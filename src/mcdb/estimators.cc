@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/stat.h"
+#include "obs/metrics.h"
 #include "util/distributions.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -21,15 +21,19 @@ Result<MonteCarloSummary> Summarize(const std::vector<double>& samples) {
   s.mean = rs.mean();
   s.variance = rs.variance();
   s.std_error = rs.std_error();
-  s.min = rs.min();
-  s.max = rs.max();
+  const auto [lo, hi] = std::minmax_element(samples.begin(), samples.end());
+  s.min = *lo;
+  s.max = *hi;
   s.median = Quantile(samples, 0.5);
   s.q05 = Quantile(samples, 0.05);
   s.q95 = Quantile(samples, 0.95);
   // Publish the 95% CLT half-width of this aggregate so sampled time
-  // series show Monte Carlo precision per summarized result set.
-  obs::CiMonitor ci("mcdb.ci_halfwidth");
-  for (double v : samples) ci.Add(v);
+  // series show Monte Carlo precision per summarized result set. Exporters
+  // expect finite gauges, so the n < 2 infinity stays in-process.
+  if (rs.count() >= 2) {
+    MDE_OBS_GAUGE_SET("mcdb.ci_halfwidth", rs.half_width());
+  }
+  MDE_OBS_GAUGE_SET("mcdb.ci_halfwidth.n", rs.count());
   return s;
 }
 

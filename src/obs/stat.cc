@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "obs/metrics.h"
 
@@ -10,44 +9,13 @@ namespace mde::obs {
 
 namespace {
 
-/// Resolves a gauge handle, or nullptr for the empty name / disabled build.
+/// Resolves a gauge handle, or nullptr for the empty name.
 Gauge* MaybeGauge(const std::string& name) {
   if (!name.empty()) return Registry::Global().gauge(name);
   return nullptr;
 }
 
 }  // namespace
-
-void Welford::Add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void Welford::Merge(const Welford& other) {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  n_ += other.n_;
-}
-
-double Welford::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double Welford::stddev() const { return std::sqrt(variance()); }
-
-double Welford::std_error() const {
-  return n_ > 1 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
-}
 
 P2Quantile::P2Quantile(double p) : p_(p) {
   for (int i = 0; i < 5; ++i) {
@@ -153,26 +121,6 @@ double P2Quantile::Value() const {
                             (sorted[hi] - sorted[lo]);
   }
   return q_[2];
-}
-
-CiMonitor::CiMonitor(const std::string& gauge_name, double z)
-    : z_(z),
-      gauge_(MaybeGauge(gauge_name)),
-      n_gauge_(MaybeGauge(gauge_name.empty() ? "" : gauge_name + ".n")) {}
-
-void CiMonitor::Add(double x) {
-  stat_.Add(x);
-  if (gauge_ != nullptr) {
-    // Exporters (Prometheus text, the JSONL sampler) expect finite gauge
-    // values; the infinite pre-CLT half-width stays in-process.
-    if (stat_.count() >= 2) gauge_->Set(half_width());
-    n_gauge_->Set(static_cast<double>(stat_.count()));
-  }
-}
-
-double CiMonitor::half_width() const {
-  if (stat_.count() < 2) return std::numeric_limits<double>::infinity();
-  return z_ * stat_.std_error();
 }
 
 ConvergenceMonitor::ConvergenceMonitor(const std::string& name, size_t window,

@@ -6,15 +6,14 @@
 #include <string>
 
 /// Statistical health monitors for the mde engine — the paper's central
-/// claim made operational: estimator quality (CLT half-widths, effective
-/// sample sizes, convergence of iterative solvers) is a first-class,
-/// queryable runtime signal, not something recomputed offline. MCDB's
-/// result caching resamples until a CLT half-width target is met, SimSQL
-/// diagnoses its database-valued chains, and the particle filter triggers
-/// resampling off the ESS; the classes here are the lock-free single-writer
-/// estimators those decisions read, publishing their current value into the
-/// global metrics registry as gauges so the Sampler/exporters (obs/export.h)
-/// can watch them over time.
+/// claim made operational: estimator quality is a first-class, queryable
+/// runtime signal, not something recomputed offline. The CLT half-width
+/// that MCDB's result caching drives to a target is RunningStat's
+/// (util/stats.h); the classes here are the other single-writer monitors:
+/// streaming quantile sketches for Monte Carlo outputs and a convergence
+/// verdict for iterative solvers, publishing their current value into the
+/// global metrics registry as gauges so the Sampler/exporters
+/// (obs/export.h) can watch them over time.
 ///
 /// Threading model: each monitor instance has ONE writer (the engine loop
 /// that owns it). Publication goes through Gauge::Set (a relaxed atomic
@@ -24,42 +23,6 @@
 namespace mde::obs {
 
 class Gauge;
-
-/// Welford online mean/variance (numerically stable; Chan et al. Merge for
-/// combining parallel partials).
-class Welford {
- public:
-  void Add(double x);
-  void Merge(const Welford& other);
-
-  uint64_t count() const { return n_; }
-  double mean() const { return n_ > 0 ? mean_ : 0.0; }
-  /// Sample variance (n-1 denominator); 0 when n < 2.
-  double variance() const;
-  double stddev() const;
-  /// Standard error of the mean; 0 when n < 2.
-  double std_error() const;
-
-  /// Complete accumulator state, for checkpoint serialization (src/ckpt):
-  /// restoring it and continuing the stream is bit-identical to never
-  /// having stopped.
-  struct State {
-    uint64_t n = 0;
-    double mean = 0.0;
-    double m2 = 0.0;
-  };
-  State state() const { return {n_, mean_, m2_}; }
-  void set_state(const State& s) {
-    n_ = s.n;
-    mean_ = s.mean;
-    m2_ = s.m2;
-  }
-
- private:
-  uint64_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
 
 /// P² (Jain & Chlamtac 1985) single-quantile sketch: tracks the running
 /// p-quantile of a stream in O(1) memory — five markers adjusted by
@@ -77,7 +40,8 @@ class P2Quantile {
   /// Current quantile estimate (0 before any observation).
   double Value() const;
 
-  /// Complete marker state (checkpoint serialization; see Welford::State).
+  /// Complete marker state, for checkpoints: restoring it and continuing
+  /// the stream is bit-identical to never having stopped.
   struct State {
     uint64_t n = 0;
     double q[5] = {};
@@ -94,41 +58,6 @@ class P2Quantile {
   double pos_[5]; // marker positions (1-based counts)
   double des_[5]; // desired positions
   double inc_[5]; // desired-position increments per observation
-};
-
-/// Running CLT confidence half-width monitor: feeds a Welford accumulator
-/// and exposes half_width = z * s / sqrt(n) — the quantity MCDB's Fig. 2
-/// result-caching loop drives to a target before trusting a cached Monte
-/// Carlo answer. When constructed with a gauge name, every Add publishes
-/// the current half-width to that gauge (plus `<name>.n` observations) so
-/// the shrinking interval is visible in sampled time series.
-class CiMonitor {
- public:
-  /// `gauge_name` may be empty (no publication). `z` is the two-sided
-  /// normal critical value; the default 1.959964 is the 95% level.
-  explicit CiMonitor(const std::string& gauge_name = "", double z = 1.959964);
-
-  void Add(double x);
-  uint64_t count() const { return stat_.count(); }
-  double mean() const { return stat_.mean(); }
-  /// z * stddev / sqrt(n). With n < 2 observations no CLT bound exists, so
-  /// the half-width is +infinity — NOT zero: a one-draw "estimate" that
-  /// claimed zero error would satisfy any precision target, which is
-  /// exactly how a result cache gets poisoned. Gauge publication stays
-  /// finite (nothing is published until n >= 2).
-  double half_width() const;
-  const Welford& stat() const { return stat_; }
-
-  /// Checkpoint serialization: the underlying Welford state is the whole
-  /// mutable state (gauges are re-resolved from the constructor name).
-  Welford::State state() const { return stat_.state(); }
-  void set_state(const Welford::State& s) { stat_.set_state(s); }
-
- private:
-  Welford stat_;
-  double z_;
-  Gauge* gauge_ = nullptr;    // current half-width
-  Gauge* n_gauge_ = nullptr;  // observation count
 };
 
 /// Stall/divergence detector for iterative solvers (DSGD epoch losses,

@@ -1,7 +1,5 @@
 #include "serve/cache.h"
 
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "obs/context.h"
@@ -11,13 +9,14 @@ namespace mde::serve {
 
 namespace {
 
-/// z * s / sqrt(n) with the same tiny-n discipline as obs::CiMonitor: with
-/// fewer than two draws no CLT bound exists, and a zero would satisfy every
-/// precision target — the exact cache-poisoning path the monitor hardening
-/// closed.
-double HalfWidth(const obs::Welford& stat, double z) {
-  if (stat.count() < 2) return std::numeric_limits<double>::infinity();
-  return z * stat.std_error();
+/// The precision rule, shared by Fetch's top-up loop and ReadHit: an answer
+/// of n reps is done once it has min_reps and either meets the target or
+/// has reached max_reps. A NaN half-width compares false and counts as done,
+/// so a NaN draw stops a top-up instead of running it to max_reps.
+bool Done(uint64_t n, double half_width, double target_half_width,
+          uint64_t min_reps, uint64_t max_reps) {
+  return n >= min_reps &&
+         (n >= max_reps || !(half_width > target_half_width));
 }
 
 }  // namespace
@@ -75,9 +74,8 @@ Result<ResultCache::FetchResult> ResultCache::Fetch(
   // key queues here, so each replication index is computed exactly once.
   std::lock_guard<std::mutex> entry_lock(entry->mu);
   const uint64_t cached_reps = entry->stat.count();
-  while (entry->stat.count() < max_reps &&
-         (entry->stat.count() < min_reps ||
-          HalfWidth(entry->stat, opts_.z) > target_half_width)) {
+  while (!Done(entry->stat.count(), entry->stat.half_width(),
+               target_half_width, min_reps, max_reps)) {
     // Sequential Add at index n keeps the accumulator bit-identical to a
     // single session running reps 0..n-1 itself (no parallel Merge — the
     // merge order would differ from the sequential order).
@@ -88,7 +86,7 @@ Result<ResultCache::FetchResult> ResultCache::Fetch(
     ++out.reps_added;
   }
   out.estimate = entry->stat.mean();
-  out.half_width = HalfWidth(entry->stat, opts_.z);
+  out.half_width = entry->stat.half_width();
   out.reps = entry->stat.count();
   out.pure_hit = out.reps_added == 0;
   Count(out, cached_reps);
@@ -103,7 +101,7 @@ void ResultCache::Publish(Entry& e) const {
   e.seq.store(seq + 1, std::memory_order_relaxed);
   e.n.store(e.stat.count(), std::memory_order_release);
   e.mean.store(e.stat.mean(), std::memory_order_release);
-  e.half_width.store(HalfWidth(e.stat, opts_.z), std::memory_order_release);
+  e.half_width.store(e.stat.half_width(), std::memory_order_release);
   e.seq.store(seq + 2, std::memory_order_release);
 }
 
@@ -114,12 +112,10 @@ void ResultCache::ReadHit(const Entry& e, double target_half_width,
   out->reps = e.n.load(std::memory_order_acquire);
   out->estimate = e.mean.load(std::memory_order_acquire);
   out->half_width = e.half_width.load(std::memory_order_acquire);
-  // Not torn (no top-up publishing meanwhile), and the negation of Fetch's
-  // top-up loop condition.
+  // Not torn (no top-up publishing meanwhile), and already done.
   out->pure_hit =
       (seq & 1) == 0 && e.seq.load(std::memory_order_relaxed) == seq &&
-      out->reps >= min_reps &&
-      (out->reps >= max_reps || out->half_width <= target_half_width);
+      Done(out->reps, out->half_width, target_half_width, min_reps, max_reps);
 }
 
 void ResultCache::Touch(Entry& e) const {

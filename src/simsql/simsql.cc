@@ -8,6 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/stat.h"
 #include "obs/trace.h"
+#include "util/stats.h"
 
 namespace mde::simsql {
 
@@ -309,7 +310,7 @@ Result<std::vector<double>> MonteCarloChain(
   // Chain-diagnostics monitors: running CLT half-width and P² quantile
   // sketches over the replication samples, published as gauges so the
   // Sampler's time series shows the estimate tightening rep by rep.
-  obs::CiMonitor ci("simsql.mc.ci_halfwidth");
+  RunningStat ci;
   obs::P2Quantile q50(0.5);
   obs::P2Quantile q95(0.95);
   for (size_t rep = 0; rep < reps; ++rep) {
@@ -326,6 +327,10 @@ Result<std::vector<double>> MonteCarloChain(
     samples.push_back(v.value());
     MDE_OBS_COUNT("simsql.mc.reps", 1);
     ci.Add(v.value());
+    if (ci.count() >= 2) {
+      MDE_OBS_GAUGE_SET("simsql.mc.ci_halfwidth", ci.half_width());
+    }
+    MDE_OBS_GAUGE_SET("simsql.mc.ci_halfwidth.n", ci.count());
     q50.Add(v.value());
     q95.Add(v.value());
     MDE_OBS_GAUGE_SET("simsql.mc.q50", q50.Value());

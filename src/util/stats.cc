@@ -5,17 +5,10 @@
 #include <limits>
 
 #include "util/check.h"
-#include "util/distributions.h"
 
 namespace mde {
 
 void RunningStat::Add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
@@ -35,8 +28,6 @@ void RunningStat::Merge(const RunningStat& other) {
   mean_ += delta * nb / total;
   m2_ += other.m2_ + delta * delta * na * nb / total;
   n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double RunningStat::variance() const {
@@ -47,6 +38,11 @@ double RunningStat::stddev() const { return std::sqrt(variance()); }
 
 double RunningStat::std_error() const {
   return n_ > 0 ? stddev() / std::sqrt(static_cast<double>(n_)) : 0.0;
+}
+
+double RunningStat::half_width() const {
+  if (n_ < 2) return std::numeric_limits<double>::infinity();
+  return kZ95 * std_error();
 }
 
 void RunningCovariance::Add(double x, double y) {
@@ -133,13 +129,6 @@ double Autocorrelation(const std::vector<double>& values, size_t lag) {
     num += (values[i] - m) * (values[i + lag] - m);
   }
   return num / den;
-}
-
-double ConfidenceHalfWidth(const RunningStat& stat, double level) {
-  MDE_CHECK(level > 0.0 && level < 1.0);
-  if (stat.count() < 2) return std::numeric_limits<double>::infinity();
-  const double z = NormalQuantile(0.5 + level / 2.0);
-  return z * stat.std_error();
 }
 
 std::vector<size_t> Histogram(const std::vector<double>& values, double lo,

@@ -2,16 +2,21 @@
 #define MDE_UTIL_STATS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace mde {
 
-/// Numerically stable running mean/variance accumulator (Welford's
-/// algorithm). Merge() allows parallel partial accumulations to be combined
-/// (Chan et al.), which the Monte Carlo executors rely on.
+/// The engine's one Monte Carlo estimator: a numerically stable running
+/// mean/variance accumulator (Welford's algorithm) and its 95% CLT
+/// half-width. (n, mean, m2) is a sufficient statistic for both, which is
+/// what the result cache stores per answer. Merge() combines parallel
+/// partial accumulations (Chan et al.), which the Monte Carlo executors
+/// rely on.
 class RunningStat {
  public:
-  RunningStat() = default;
+  /// Two-sided 95% normal critical value.
+  static constexpr double kZ95 = 1.959964;
 
   void Add(double x);
   /// Combines `other` into this accumulator.
@@ -24,15 +29,29 @@ class RunningStat {
   double stddev() const;
   /// Standard error of the mean.
   double std_error() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
+  /// kZ95 * std_error(). With n < 2 no CLT bound exists, so the half-width
+  /// is +infinity, not zero: a one-draw "estimate" that claimed zero error
+  /// would satisfy any precision target and poison a result cache.
+  double half_width() const;
+
+  /// Complete accumulator state, for checkpoints: restoring it and
+  /// continuing the stream is bit-identical to never having stopped.
+  struct State {
+    uint64_t n = 0;
+    double mean = 0.0;
+    double m2 = 0.0;
+  };
+  State state() const { return {n_, mean_, m2_}; }
+  void set_state(const State& s) {
+    n_ = s.n;
+    mean_ = s.mean;
+    m2_ = s.m2;
+  }
 
  private:
   size_t n_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Running covariance accumulator for paired observations.
@@ -75,12 +94,6 @@ double Quantile(std::vector<double> values, double q);
 
 /// Lag-k sample autocorrelation.
 double Autocorrelation(const std::vector<double>& values, size_t lag);
-
-/// Two-sided normal-theory confidence interval half-width for the mean of
-/// `stat` at the given confidence level (e.g. 0.95). Fewer than two draws
-/// give no variance estimate, so the half-width is +inf, matching
-/// obs::CiMonitor and serve::ResultCache.
-double ConfidenceHalfWidth(const RunningStat& stat, double level);
 
 /// Equi-width histogram over [lo, hi] with `bins` buckets; values outside
 /// the range are clamped into the edge buckets.

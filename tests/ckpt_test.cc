@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "ckpt/snapshot.h"
 #include "obs/stat.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace mde::ckpt {
 namespace {
@@ -175,15 +177,18 @@ TEST(SnapshotTest, AtomicFileWriteRoundTrips) {
 // ---------------------------------------------------------------------------
 
 TEST(StatSerializationTest, WelfordRoundTripIsExact) {
-  obs::Welford full, half;
+  // RunningStat's (n, mean, m2) is the whole estimator: mean, variance and
+  // CLT half-width all continue bit-exactly after a restore.
+  RunningStat full, half;
   Rng rng(9);
   for (int i = 0; i < 500; ++i) {
     const double x = rng.NextDouble() * 100.0 - 50.0;
     full.Add(x);
     half.Add(x);
   }
-  obs::Welford restored;
+  RunningStat restored;
   restored.set_state(half.state());
+  EXPECT_EQ(restored.half_width(), full.half_width());
   Rng rng2(77);
   for (int i = 0; i < 500; ++i) {
     const double x = rng2.NextDouble();
@@ -191,8 +196,9 @@ TEST(StatSerializationTest, WelfordRoundTripIsExact) {
     restored.Add(x);
   }
   EXPECT_EQ(restored.count(), full.count());
-  EXPECT_EQ(restored.mean(), full.mean());          // bit-exact, not NEAR
-  EXPECT_EQ(restored.variance(), full.variance());  // bit-exact
+  EXPECT_EQ(restored.mean(), full.mean());              // bit-exact, not NEAR
+  EXPECT_EQ(restored.variance(), full.variance());      // bit-exact
+  EXPECT_EQ(restored.half_width(), full.half_width());  // bit-exact
 }
 
 TEST(StatSerializationTest, P2QuantileRoundTripIsExact) {
@@ -248,14 +254,24 @@ TEST(StatSerializationTest, ConvergenceMonitorRoundTripKeepsVerdict) {
 }
 
 TEST(StatSerializationTest, CiMonitorRoundTripIsExact) {
-  obs::CiMonitor a;
+  RunningStat a;
   for (double x : {1.0, 2.0, 3.0, 4.0, 5.0}) a.Add(x);
-  obs::CiMonitor b;
+  RunningStat b;
   b.set_state(a.state());
   a.Add(6.0);
   b.Add(6.0);
   EXPECT_EQ(a.half_width(), b.half_width());
   EXPECT_EQ(a.mean(), b.mean());
+
+  // Tiny n: a restored one-draw state still claims no precision.
+  RunningStat one, one_restored;
+  one.Add(4.0);
+  one_restored.set_state(one.state());
+  EXPECT_TRUE(std::isinf(one_restored.half_width()));
+  one.Add(6.0);
+  one_restored.Add(6.0);
+  EXPECT_EQ(one_restored.half_width(), one.half_width());
+  EXPECT_EQ(one_restored.mean(), one.mean());
 }
 
 // ---------------------------------------------------------------------------

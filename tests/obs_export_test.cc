@@ -11,14 +11,17 @@
 #include <vector>
 
 #include "mcdb/bundle.h"
+#include "mcdb/estimators.h"
 #include "obs/export.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/stat.h"
+#include "simsql/simsql.h"
 #include "smc/particle_filter.h"
 #include "util/distributions.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace mde {
@@ -27,13 +30,14 @@ namespace {
 using obs::Registry;
 
 // ---------------------------------------------------------------------------
-// Statistical monitors vs brute force.
+// Statistical monitors vs brute force. The Welford accumulator and CLT
+// half-width the monitors rely on is RunningStat (util/stats.h).
 // ---------------------------------------------------------------------------
 
 TEST(ObsStatTest, WelfordMatchesBruteForce) {
   Rng rng(7);
   std::vector<double> xs;
-  obs::Welford w;
+  RunningStat w;
   for (int i = 0; i < 1000; ++i) {
     const double x = rng.NextDouble() * 100.0 - 20.0;
     xs.push_back(x);
@@ -53,7 +57,7 @@ TEST(ObsStatTest, WelfordMatchesBruteForce) {
 
 TEST(ObsStatTest, WelfordMergeEqualsSinglePass) {
   Rng rng(11);
-  obs::Welford all, a, b;
+  RunningStat all, a, b;
   for (int i = 0; i < 500; ++i) {
     const double x = SampleStandardNormal(rng);
     all.Add(x);
@@ -124,7 +128,7 @@ TEST(ObsStatTest, P2QuantileTinyNExactFallback) {
 }
 
 TEST(ObsStatTest, CiMonitorTinyNHasNoSpuriousPrecision) {
-  obs::CiMonitor ci;
+  RunningStat ci;
   // n = 0 and n = 1: no CLT bound exists. A zero half-width here would let
   // a one-draw cache entry satisfy ANY precision target.
   EXPECT_TRUE(std::isinf(ci.half_width()));
@@ -143,22 +147,6 @@ TEST(ObsStatTest, CiMonitorTinyNHasNoSpuriousPrecision) {
   EXPECT_EQ(ci.count(), 5u);
   EXPECT_TRUE(std::isfinite(ci.half_width()));
   EXPECT_LT(ci.half_width(), 1.959964 * sd2 / std::sqrt(2.0));
-}
-
-TEST(ObsStatTest, CiMonitorHalfWidthMatchesBruteForce) {
-  obs::CiMonitor ci;  // no gauge publication
-  std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  for (double x : xs) ci.Add(x);
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= static_cast<double>(xs.size());
-  double m2 = 0.0;
-  for (double x : xs) m2 += (x - mean) * (x - mean);
-  const double se =
-      std::sqrt(m2 / static_cast<double>(xs.size() - 1)) /
-      std::sqrt(static_cast<double>(xs.size()));
-  EXPECT_NEAR(ci.half_width(), 1.959964 * se, 1e-12);
-  EXPECT_DOUBLE_EQ(ci.mean(), mean);
 }
 
 TEST(ObsStatTest, ConvergenceMonitorVerdicts) {
@@ -440,6 +428,63 @@ TEST(ObsWiringTest, SmcEssGaugeMatchesLastStepStats) {
   ASSERT_FALSE(pf.step_stats().empty());
   const double gauge = Registry::Global().gauge("smc.ess")->Value();
   EXPECT_DOUBLE_EQ(gauge, pf.step_stats().back().ess);
+}
+
+// ---------------------------------------------------------------------------
+// Engine wiring: CLT half-width gauges. mde_report's health table lists
+// them, so their names and values are locked here: each equals the 95%
+// half-width (1.959964 * standard error) and count of a RunningStat over
+// the same samples, and the half-width is published only once n >= 2.
+// ---------------------------------------------------------------------------
+
+TEST(ObsWiringTest, CiHalfWidthGaugesMatchRunningStat) {
+  obs::Gauge* mcdb_hw = Registry::Global().gauge("mcdb.ci_halfwidth");
+  obs::Gauge* mcdb_n = Registry::Global().gauge("mcdb.ci_halfwidth.n");
+  Rng rng(2024);
+  std::vector<double> samples;
+  RunningStat expect;
+  for (int i = 0; i < 37; ++i) {
+    samples.push_back(SampleNormal(rng, 3.0, 2.0));
+    expect.Add(samples.back());
+  }
+  ASSERT_TRUE(mcdb::Summarize(samples).ok());
+  EXPECT_EQ(mcdb_hw->Value(), 1.959964 * expect.std_error());
+  EXPECT_EQ(mcdb_n->Value(), 37.0);
+
+  // One sample has no CLT bound: the count moves, the half-width does not.
+  mcdb_hw->Set(-1.0);
+  ASSERT_TRUE(mcdb::Summarize({5.0}).ok());
+  EXPECT_EQ(mcdb_hw->Value(), -1.0);
+  EXPECT_EQ(mcdb_n->Value(), 1.0);
+
+  simsql::MarkovChainDb db;
+  simsql::ChainTableSpec spec;
+  spec.name = "WALK";
+  spec.init = [](const simsql::DatabaseState&, Rng&) -> Result<table::Table> {
+    table::Table t{table::Schema({{"pos", table::DataType::kDouble}})};
+    t.Append({table::Value(0.0)});
+    return t;
+  };
+  spec.transition = [](const simsql::DatabaseState& prev,
+                       const simsql::DatabaseState&,
+                       Rng& r) -> Result<table::Table> {
+    table::Table t(prev.at("WALK").schema());
+    t.Append({table::Value(prev.at("WALK").row(0)[0].AsDouble() +
+                           SampleStandardNormal(r))});
+    return t;
+  };
+  ASSERT_TRUE(db.AddChainTable(std::move(spec)).ok());
+  auto chain = simsql::MonteCarloChain(
+      db, 3, 25, 11, [](const simsql::DatabaseState& s) -> Result<double> {
+        return s.at("WALK").row(0)[0].AsDouble();
+      });
+  ASSERT_TRUE(chain.ok());
+  RunningStat chain_expect;
+  for (double v : chain.value()) chain_expect.Add(v);
+  EXPECT_EQ(Registry::Global().gauge("simsql.mc.ci_halfwidth")->Value(),
+            1.959964 * chain_expect.std_error());
+  EXPECT_EQ(Registry::Global().gauge("simsql.mc.ci_halfwidth.n")->Value(),
+            25.0);
 }
 
 // ---------------------------------------------------------------------------

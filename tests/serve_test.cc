@@ -22,13 +22,13 @@
 #include "obs/context.h"
 #include "obs/http.h"
 #include "obs/metrics.h"
-#include "obs/stat.h"
 #include "serve/cache.h"
 #include "serve/mvcc.h"
 #include "serve/server.h"
 #include "simsql/simsql.h"
 #include "table/table.h"
 #include "util/rng.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace mde {
@@ -324,9 +324,9 @@ TEST(ResultCacheTest, LooserIsAHitTighterSpendsOnlyIncrementalReps) {
   EXPECT_EQ(tighter.value().reps_added, tighter.value().reps - 8u);
   EXPECT_LE(tighter.value().half_width, tight);
 
-  // Bit-identity: a fresh sequential Welford over reps 0..n-1 reproduces
-  // the cached accumulator exactly.
-  obs::Welford fresh;
+  // Bit-identity: a fresh sequential RunningStat over reps 0..n-1
+  // reproduces the cached accumulator exactly.
+  RunningStat fresh;
   CountingRepFn replay;
   for (uint64_t i = 0; i < tighter.value().reps; ++i) fresh.Add(replay(i));
   const double fresh_mean = fresh.state().mean;
@@ -360,6 +360,28 @@ TEST(ResultCacheTest, TinyNNeverClaimsPrecision) {
                        /*max_reps=*/256, rep_fn);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(r.value().reps, 2u);
+}
+
+TEST(ResultCacheTest, NanHalfWidthStopsTheTopUp) {
+  // A NaN draw makes the half-width NaN, which never exceeds a target: the
+  // top-up stops at min_reps instead of running to max_reps, and a repeat
+  // request is a pure hit on that answer.
+  ResultCache cache;
+  uint64_t runs = 0;
+  const ResultCache::RepFn rep_fn = [&runs](uint64_t rep) -> Result<double> {
+    ++runs;
+    return rep == 1 ? std::numeric_limits<double>::quiet_NaN() : 1.0;
+  };
+  const CacheKey key{3, 1, 4};
+  auto first = cache.Fetch(key, /*target=*/1e-9, 4, 256, rep_fn);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(first.value().reps, 4u);
+  EXPECT_TRUE(std::isnan(first.value().half_width));
+  auto again = cache.Fetch(key, 1e-9, 4, 256, rep_fn);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(again.value().pure_hit);
+  EXPECT_EQ(again.value().reps, 4u);
+  EXPECT_EQ(runs, 4u);
 }
 
 TEST(ResultCacheTest, RepErrorPropagatesAndKeepsEarlierReps) {
@@ -469,11 +491,10 @@ TEST(ResultCacheTest, HitNeverWaitsBehindATopUpOfTheSameKey) {
   EXPECT_EQ(runs.load(), 0);
   EXPECT_EQ(hit.value().reps, 20u);
 
-  obs::Welford fresh;
+  RunningStat fresh;
   for (uint64_t i = 0; i < hit.value().reps; ++i) fresh.Add(value(i));
   EXPECT_EQ(Bits(hit.value().estimate), Bits(fresh.mean()));
-  EXPECT_EQ(Bits(hit.value().half_width),
-            Bits(ResultCache::Options().z * fresh.std_error()));
+  EXPECT_EQ(Bits(hit.value().half_width), Bits(fresh.half_width()));
 }
 
 TEST(ResultCacheTest, ProcessCountersSumOverEveryCache) {

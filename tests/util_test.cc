@@ -298,22 +298,25 @@ TEST(RunningStatTest, MatchesBatchFormulas) {
   for (double v : data) rs.Add(v);
   EXPECT_DOUBLE_EQ(rs.mean(), Mean(data));
   EXPECT_NEAR(rs.variance(), Variance(data), 1e-12);
-  EXPECT_EQ(rs.min(), 1.0);
-  EXPECT_EQ(rs.max(), 16.0);
 }
 
 TEST(RunningStatTest, MergeEqualsSequential) {
   Rng rng(23);
-  RunningStat all, a, b;
+  RunningStat all, a, b, empty;
   for (int i = 0; i < 1000; ++i) {
     const double v = SampleNormal(rng, 0, 1);
     all.Add(v);
     (i % 2 == 0 ? a : b).Add(v);
   }
   a.Merge(b);
+  a.Merge(empty);  // merging an empty side changes nothing
   EXPECT_EQ(a.count(), all.count());
   EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
+  empty.Merge(a);  // merging into an empty side copies the state
+  EXPECT_EQ(empty.state().n, a.state().n);
+  EXPECT_EQ(empty.state().mean, a.state().mean);
+  EXPECT_EQ(empty.state().m2, a.state().m2);
 }
 
 TEST(RunningCovarianceTest, KnownCovariance) {
@@ -459,19 +462,37 @@ TEST(ConfidenceTest, HalfWidthShrinksWithN) {
   RunningStat small, big;
   for (int i = 0; i < 100; ++i) small.Add(SampleNormal(rng, 0, 1));
   for (int i = 0; i < 10000; ++i) big.Add(SampleNormal(rng, 0, 1));
-  EXPECT_GT(ConfidenceHalfWidth(small, 0.95),
-            ConfidenceHalfWidth(big, 0.95));
+  EXPECT_GT(small.half_width(), big.half_width());
 }
 
 TEST(ConfidenceTest, HalfWidthIsInfiniteBelowTwoDraws) {
+  // n = 0 and n = 1: no CLT bound exists. A zero half-width here would let
+  // a one-draw cache entry satisfy ANY precision target.
   const double inf = std::numeric_limits<double>::infinity();
   RunningStat s;
-  EXPECT_EQ(ConfidenceHalfWidth(s, 0.95), inf);  // n = 0
+  EXPECT_EQ(s.half_width(), inf);  // n = 0
   s.Add(3.0);
-  EXPECT_EQ(ConfidenceHalfWidth(s, 0.95), inf);  // n = 1: no variance yet
+  EXPECT_EQ(s.half_width(), inf);  // n = 1: no variance yet
   s.Add(5.0);
   // n = 2: z * s / sqrt(n) with s = sqrt(2), so z * 1.
-  EXPECT_NEAR(ConfidenceHalfWidth(s, 0.95), NormalQuantile(0.975), 1e-12);
+  EXPECT_EQ(s.half_width(), RunningStat::kZ95);
+  EXPECT_NEAR(RunningStat::kZ95, NormalQuantile(0.975), 1e-6);
+}
+
+TEST(ConfidenceTest, HalfWidthMatchesBruteForce) {
+  RunningStat s;
+  std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
+  for (double x : xs) s.Add(x);
+  double mean = 0.0;
+  for (double x : xs) mean += x;
+  mean /= static_cast<double>(xs.size());
+  double m2 = 0.0;
+  for (double x : xs) m2 += (x - mean) * (x - mean);
+  const double se =
+      std::sqrt(m2 / static_cast<double>(xs.size() - 1)) /
+      std::sqrt(static_cast<double>(xs.size()));
+  EXPECT_NEAR(s.half_width(), 1.959964 * se, 1e-12);
+  EXPECT_DOUBLE_EQ(s.mean(), mean);
 }
 
 TEST(AlignedAllocatorTest, HugeBlocksAre2MiBAlignedSmallOnes64) {
