@@ -9,6 +9,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/stats.h"
@@ -34,12 +36,30 @@
 /// replication index is computed exactly once per key, process-wide.
 ///
 /// Hit protocol: after every Add an entry PUBLISHES (n, mean, half-width)
-/// through a seqlock written only by the holder of its mutex. A request is
-/// checked against that answer in one short critical section of the index
-/// mutex — no entry lock, no shared_ptr copy — so a hit never waits behind
-/// a top-up of the same key; a torn read is just not a hit. Misses and
-/// top-ups re-find under the index mutex, then take the entry mutex (lock
-/// order index -> entry). Counters are thread-sharded.
+/// through a seqlock written only by the holder of its mutex, so a hit
+/// never takes the entry lock and never waits behind a top-up of its key.
+///
+///   - Memo. Each thread keeps a direct-mapped memo of 256 slots mapping
+///     (cache id, key) to (raw Entry*, the entry's generation). It is
+///     filled on a pure hit found in the index, and checked before the
+///     index. The cache id is process-unique, so a slot a destroyed cache
+///     filled never matches a later cache built at the same address.
+///   - Generation check. Evicting an entry bumps its generation under the
+///     index mutex. A memo hit counts only if the generation matches
+///     before and after the seqlock read, the read is not torn, and the
+///     answer is done; anything else falls through to the index.
+///   - Type-stable entries. Entry memory lives as long as the cache: an
+///     evicted entry goes to a free list once its last slow-path holder
+///     lets go, and a reused one resets its RunningStat and republishes.
+///     A stale memo pointer therefore always reads a live Entry, whose
+///     generation says whether it still holds the memoized key.
+///   - No refcount on a hit. The memo holds no reference, so a memo hit
+///     takes no mutex, changes no shared count, allocates and frees
+///     nothing; its only shared write is Touch's store-if-stale epoch.
+///
+/// The index mutex serves only memo misses, misses and top-ups. Those
+/// re-find under it, take a slow-path reference, then take the entry
+/// mutex (lock order index -> entry). Counters are thread-sharded.
 ///
 /// Keys include the database version (serve/mvcc.h), so advancing the chain
 /// naturally starts new entries; old-version entries age out via the
@@ -71,6 +91,7 @@ struct CacheStats {
   uint64_t evictions = 0;
   size_t entries = 0;
   size_t bytes = 0;
+  size_t slab_entries = 0;  // entry objects held, live or free; never shrinks
 };
 
 class ResultCache {
@@ -125,6 +146,12 @@ class ResultCache {
     std::mutex mu;       // serializes top-ups for this key
     RunningStat stat;    // guarded by mu
     std::atomic<uint64_t> last_touch_epoch{0};
+    // Bumped under the index mutex when the entry leaves the index; a memo
+    // slot is valid only while it matches.
+    std::atomic<uint64_t> generation{0};
+    // The index's reference plus one per slow-path holder; the entry joins
+    // the free list when it reaches 0.
+    std::atomic<uint32_t> refs{0};
     // Published answer of `stat`; `seq` is odd while it is rewritten.
     std::atomic<uint64_t> seq{0};
     std::atomic<uint64_t> n{0};
@@ -137,18 +164,28 @@ class ResultCache {
   /// out->pure_hit says whether that answer satisfies the request.
   static void ReadHit(const Entry& e, double target_half_width,
                       uint64_t min_reps, uint64_t max_reps, FetchResult* out);
-  void Touch(Entry& e) const;  // requires mu_
+  void Touch(Entry& e) const;
   void Count(const FetchResult& out, uint64_t cached_reps);
-  void EvictIfNeededLocked(uint64_t now);
+  /// Takes a slow-path reference on `key`'s entry, inserting a recycled or
+  /// new one on a miss; Release drops it.
+  Entry* Acquire(const CacheKey& key);
+  void Release(Entry* e);
+  Entry* NewEntryLocked(uint64_t now);  // from free_ first, else slab_
+  void EvictIfNeededLocked(uint64_t now);  // before an insert
+  /// Refills victims_; false when every entry was touched this epoch.
+  bool CollectVictimsLocked(uint64_t now);
 
   const Options opts_;
-  // The hit path's critical section is short and contended, so its tail
-  // is sensitive to where mu_ and map_'s header fall in cache lines. With
-  // mu_ at offset 8 (map_'s bucket count on mu_'s line) serve_hot's
-  // req_p99_us measured 20-45% higher than with this order.
-  uint64_t evictions_ = 0;  // guarded by mu_
-  mutable std::mutex mu_;   // guards map_ and evictions_
-  std::unordered_map<CacheKey, std::shared_ptr<Entry>, CacheKeyHash> map_;
+  mutable std::mutex mu_;  // guards every member up to id_
+  uint64_t evictions_ = 0;
+  std::unordered_map<CacheKey, Entry*, CacheKeyHash> map_;
+  std::vector<std::unique_ptr<Entry>> slab_;  // every entry ever made
+  std::vector<Entry*> free_;                  // refs == 0, not in map_
+  // The stalest entries at the last scan, stalest last, each with the
+  // last_touch_epoch it had then. A touch only makes an entry younger, so
+  // a candidate whose epoch is unchanged is still the stalest left.
+  std::vector<std::pair<CacheKey, uint64_t>> victims_;
+  const uint64_t id_;  // process-unique; scopes memo slots
   std::atomic<uint64_t> epoch_{0};
   obs::Counter pure_hits_;
   obs::Counter topups_;

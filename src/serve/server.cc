@@ -1,5 +1,6 @@
 #include "serve/server.h"
 
+#include <algorithm>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -13,12 +14,15 @@ namespace mde::serve {
 
 namespace {
 
+/// ParamHash's seed, hashed once rather than on every request.
+const uint64_t kParamHashSeed = obs::FingerprintString("serve.params");
+
 /// Order-independent parameter hash: std::map iterates sorted by name, so
 /// two requests binding the same values hash identically regardless of how
 /// the caller built the map. Doubles are hashed by IEEE-754 payload —
 /// bit-identity is the contract everywhere else too.
 uint64_t ParamHash(const std::map<std::string, double>& params) {
-  uint64_t h = obs::FingerprintString("serve.params");
+  uint64_t h = kParamHashSeed;
   for (const auto& [name, value] : params) {
     h = obs::FingerprintMix(h, obs::FingerprintString(name));
     uint64_t bits = 0;
@@ -144,9 +148,22 @@ std::shared_ptr<Session> Server::OpenSession(std::string tag) {
   std::shared_ptr<Session> session(
       new Session(this, id, std::move(tag)));
   std::lock_guard<std::mutex> lock(sessions_mu_);
+  if (sessions_.size() >= prune_sessions_at_) {
+    // Amortized O(1): the next prune waits until the registry doubles
+    // past what survived this one.
+    std::erase_if(sessions_, [](const std::weak_ptr<Session>& weak) {
+      return weak.expired();
+    });
+    prune_sessions_at_ = std::max(kMinSessionPrune, 2 * sessions_.size());
+  }
   sessions_.push_back(session);
   MDE_OBS_COUNT("serve.sessions.opened", 1);
   return session;
+}
+
+size_t Server::session_registry_size() const {
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  return sessions_.size();
 }
 
 Result<Answer> Server::Execute(Session& session, const Request& req) {
@@ -233,7 +250,7 @@ std::string Server::RenderSessionz() const {
      << " pure_hits=" << cs.pure_hits << " topups=" << cs.topups
      << " misses=" << cs.misses << " reps_run=" << cs.reps_run
      << " reps_saved=" << cs.reps_saved << " evictions=" << cs.evictions
-     << "\n";
+     << " slab_entries=" << cs.slab_entries << "\n";
   os << "sessions:\n";
   std::lock_guard<std::mutex> lock(sessions_mu_);
   size_t open = 0;

@@ -151,6 +151,10 @@ class Server {
   ResultCache& cache() { return cache_; }
   const Options& options() const { return opts_; }
 
+  /// Session registry entries, open or closed but not yet pruned. Never
+  /// more than max(64, twice the sessions that survived the last prune).
+  size_t session_registry_size() const;
+
   /// The /sessionz page body (text). Exposed for tests and for the
   /// registered DiagServer handler.
   std::string RenderSessionz() const;
@@ -172,7 +176,11 @@ class Server {
   std::map<std::string, RegisteredQuery> queries_;  // fixed after Start()
 
   mutable std::mutex sessions_mu_;
-  std::vector<std::weak_ptr<Session>> sessions_;  // guarded by sessions_mu_
+  // Expired entries are pruned in OpenSession once the registry reaches
+  // prune_sessions_at_ (guarded by sessions_mu_, like sessions_).
+  static constexpr size_t kMinSessionPrune = 64;
+  std::vector<std::weak_ptr<Session>> sessions_;
+  size_t prune_sessions_at_ = kMinSessionPrune;
   std::atomic<uint64_t> next_session_id_{1};
   uint64_t diag_handler_id_ = 0;
 };

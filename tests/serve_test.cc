@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -433,6 +435,36 @@ TEST(ResultCacheTest, StaleEntriesEvictUnderByteBudget) {
   EXPECT_LE(stats.bytes, opts.max_bytes);
 }
 
+TEST(ResultCacheTest, EvictionSkipsAVictimTouchedAfterTheScan) {
+  // Budget: 128 entries, keys 1..128 touched one epoch apart. Inserting
+  // key 129 scans once, queues the two stalest (keys 1 and 2) and evicts
+  // key 1. A hit on key 2 makes it current, so the next insert skips it
+  // and evicts key 3, the stalest left.
+  constexpr uint64_t kBudget = 128;
+  ResultCache::Options opts;
+  opts.max_bytes = kBudget * ResultCache::kEntryBytes;
+  ResultCache cache(opts);
+  const ResultCache::RepFn rep_fn = [](uint64_t rep) -> Result<double> {
+    return static_cast<double>(rep);
+  };
+  const auto fetch = [&](uint64_t k) {
+    auto r = cache.Fetch(CacheKey{k, 0, 0}, kInf, 2, 8, rep_fn);
+    EXPECT_TRUE(r.ok());
+    return r.ok() ? r.value() : ResultCache::FetchResult();
+  };
+  for (uint64_t k = 1; k <= kBudget; ++k) {
+    fetch(k);
+    cache.AdvanceEpoch();
+  }
+  fetch(kBudget + 1);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_TRUE(fetch(2).pure_hit);
+  fetch(kBudget + 2);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_TRUE(fetch(2).pure_hit) << "evicted an entry touched this epoch";
+  EXPECT_FALSE(fetch(3).pure_hit) << "key 3 was the stalest left";
+}
+
 uint64_t Bits(double d) {
   uint64_t b = 0;
   std::memcpy(&b, &d, sizeof(b));
@@ -530,6 +562,142 @@ TEST(ResultCacheTest, ProcessCountersSumOverEveryCache) {
             sa.pure_hits + sb.pure_hits);
   EXPECT_EQ(counter("serve.cache.reps_saved") - saved_before,
             sa.reps_saved + sb.reps_saved);
+}
+
+TEST(ResultCacheTest, MemoNeverAnswersForARecycledEntry) {
+  // One-entry budget: after an epoch, inserting key B evicts key A and
+  // reuses A's entry. B's answer would satisfy A's request, so only A's
+  // memo slot generation check stands between A and B's answer.
+  ResultCache::Options opts;
+  opts.max_bytes = ResultCache::kEntryBytes;
+  ResultCache cache(opts);
+  const auto rep_fn_around = [](double base) {
+    return ResultCache::RepFn([base](uint64_t rep) -> Result<double> {
+      Rng rng = Rng::Substream(/*seed=*/5, rep);
+      return base + rng.NextDouble();
+    });
+  };
+  const CacheKey a{1, 0, 0};
+  const CacheKey b{2, 0, 0};
+  ASSERT_TRUE(cache.Fetch(a, kInf, 8, 8, rep_fn_around(100.0)).ok());
+  // The first hit memoizes A on this thread (index hit); the second is
+  // answered from the memo.
+  for (int i = 0; i < 2; ++i) {
+    auto hit = cache.Fetch(a, kInf, 8, 8, rep_fn_around(100.0));
+    ASSERT_TRUE(hit.ok());
+    EXPECT_TRUE(hit.value().pure_hit);
+  }
+
+  cache.AdvanceEpoch();
+  auto rb = cache.Fetch(b, kInf, 8, 8, rep_fn_around(200.0));
+  ASSERT_TRUE(rb.ok());
+  EXPECT_EQ(rb.value().reps_added, 8u);
+  serve::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.slab_entries, 1u) << "B did not reuse A's entry";
+
+  auto ra = cache.Fetch(a, kInf, 8, 8, rep_fn_around(100.0));
+  ASSERT_TRUE(ra.ok());
+  EXPECT_FALSE(ra.value().pure_hit);
+  EXPECT_GT(ra.value().reps_added, 0u);
+  EXPECT_LT(ra.value().estimate, 150.0) << "answered with B's draws";
+}
+
+TEST(ResultCacheTest, MemoIsScopedToOneCacheInstance) {
+  // A second cache built at the first one's address must not answer from a
+  // memo slot the first one filled: that slot names a freed entry.
+  const ResultCache::RepFn rep_fn = [](uint64_t rep) -> Result<double> {
+    return static_cast<double>(rep);
+  };
+  const CacheKey key{4, 2, 0};
+  alignas(ResultCache) unsigned char storage[sizeof(ResultCache)];
+  ResultCache* first = new (storage) ResultCache();
+  ASSERT_TRUE(first->Fetch(key, kInf, 8, 8, rep_fn).ok());
+  auto memoized = first->Fetch(key, kInf, 8, 8, rep_fn);
+  ASSERT_TRUE(memoized.ok());
+  ASSERT_TRUE(memoized.value().pure_hit);
+  first->~ResultCache();
+
+  ResultCache* second = new (storage) ResultCache();
+  auto r = second->Fetch(key, kInf, 8, 8, rep_fn);
+  const serve::CacheStats stats = second->stats();
+  second->~ResultCache();
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(r.value().pure_hit);
+  EXPECT_EQ(r.value().reps_added, 8u);
+  EXPECT_EQ(stats.misses, 1u);
+}
+
+TEST(ResultCacheTest, EvictWhileMemoizedHammer) {
+  // Readers repeat a few keys, so most of their requests are memo hits,
+  // while a writer advances the epoch and inserts a fresh key each time
+  // under a 4-entry budget: memoized entries are evicted and recycled for
+  // other keys under the readers. Every key draws from a band of its own,
+  // and every answer must be bit-identical to a fresh run of its key, so
+  // an answer read through an entry that now holds another key fails.
+  // Run under TSan in CI.
+  ResultCache::Options opts;
+  opts.max_bytes = 4 * ResultCache::kEntryBytes;
+  ResultCache cache(opts);
+  constexpr uint64_t kReps = 8;
+  constexpr uint64_t kReaderKeys = 6;
+  constexpr int kReaders = 3;
+  constexpr uint64_t kWriterKeys = 3000;
+  const auto value = [](uint64_t k, uint64_t rep) {
+    Rng rng = Rng::Substream(/*seed=*/1000 + k, rep);
+    return 100.0 * static_cast<double>(k) + rng.NextDouble();
+  };
+  const auto fresh_mean = [&value](uint64_t k) {
+    RunningStat s;
+    for (uint64_t i = 0; i < kReps; ++i) s.Add(value(k, i));
+    return Bits(s.mean());
+  };
+  const auto fetch = [&](uint64_t k) {
+    return cache.Fetch(CacheKey{k, 0, 0}, kInf, kReps, kReps,
+                       [&value, k](uint64_t rep) -> Result<double> {
+                         return value(k, rep);
+                       });
+  };
+  std::vector<uint64_t> want(kReaderKeys);
+  for (uint64_t k = 0; k < kReaderKeys; ++k) want[k] = fresh_mean(k);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> hits{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (uint64_t k = 0; k < kReaderKeys; ++k) {
+          auto a = fetch(k);
+          if (!a.ok() || a.value().reps != kReps ||
+              Bits(a.value().estimate) != want[k]) {
+            failures.fetch_add(1);
+            return;
+          }
+          if (a.value().pure_hit) hits.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (uint64_t w = 0; w < kWriterKeys && failures.load() == 0; ++w) {
+    cache.AdvanceEpoch();
+    const uint64_t k = kReaderKeys + w;
+    auto a = fetch(k);
+    if (!a.ok() || Bits(a.value().estimate) != fresh_mean(k)) {
+      failures.fetch_add(1);
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(hits.load(), 0u);
+  const serve::CacheStats stats = cache.stats();
+  EXPECT_GT(stats.evictions, 0u);
+  // A new entry is made only when none is free. The index then holds at
+  // most the reader keys plus the writer's current one (older ones are
+  // evictable), and each other thread holds at most one evicted entry.
+  EXPECT_LE(stats.slab_entries, kReaderKeys + 1 + kReaders + 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -784,6 +952,37 @@ TEST(ServeServerTest, SessionzServedOverDiagServerWhileServerLives) {
   HttpGet(diag.port(), "/sessionz", &status);
   EXPECT_EQ(status, 404);
   diag.Stop();
+}
+
+TEST(ServeServerTest, ClosedSessionsArePrunedFromTheRegistry) {
+  // A long-lived server that opens and drops sessions must not keep one
+  // registry entry per session ever opened.
+  simsql::MarkovChainDb db = MakePriceDb();
+  Server server(db, Server::Options{});
+  ASSERT_TRUE(server.AddQuery(PortfolioValueQuery()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::shared_ptr<serve::Session>> live;
+  for (int i = 0; i < 3; ++i) {
+    live.push_back(server.OpenSession("live-" + std::to_string(i)));
+  }
+  size_t registry_peak = 0;
+  for (int i = 0; i < 10000; ++i) {
+    server.OpenSession("dropped-" + std::to_string(i));  // closes at once
+    registry_peak = std::max(registry_peak, server.session_registry_size());
+  }
+  EXPECT_LE(registry_peak, 64u);
+
+  const std::string sessionz = server.RenderSessionz();
+  EXPECT_EQ(sessionz.find("dropped-"), std::string::npos) << sessionz;
+  size_t listed = 0;
+  for (size_t at = sessionz.find("tag="); at != std::string::npos;
+       at = sessionz.find("tag=", at + 1)) {
+    ++listed;
+  }
+  EXPECT_EQ(listed, live.size()) << sessionz;
+  for (const auto& s : live) {
+    EXPECT_NE(sessionz.find("tag=" + s->tag()), std::string::npos);
+  }
 }
 
 TEST(ServeServerTest, HammerReadersWhileWriterAdvances) {
