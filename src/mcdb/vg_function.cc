@@ -48,12 +48,12 @@ bool NormalVg::GenerateScalarN(const Row& params, Rng& rng, size_t n,
   const double mean = params[0].AsDouble();
   const double sigma = params[1].AsDouble();
   if (sigma < 0.0) return false;
-  // Batched Box-Muller over four interleaved vectorized generator lanes
+  // The ziggurat over four interleaved vectorized generator lanes
   // (util/rng.h BatchRng): fills whole simd::kRngBatch blocks of unit
-  // normals through the dispatched kernel tier, then applies the affine
-  // parameter map in one dense pass. A different (but still i.i.d. N(0,1))
-  // stream than the scalar Generate() path — the N-draw contract makes only
-  // the joint distribution contractual.
+  // normals, then applies the affine parameter map in one dense pass. A
+  // different (but still i.i.d. N(0,1)) stream than the scalar Generate()
+  // path — the N-draw contract makes only the joint distribution
+  // contractual.
   BatchRng batch(rng);
   batch.FillNormal(out, n);
   simd::AffineMapF64(out, n, sigma, mean, out);

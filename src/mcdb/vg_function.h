@@ -51,7 +51,7 @@ class VgFunction {
   /// out[0..n). The bundle generator calls this once per tuple with that
   /// tuple's private substream, so overrides may validate and bind
   /// parameters once and sample in a tight loop (and may use a blocked
-  /// sampling scheme — e.g. BatchRng's vectorized Box-Muller — so the
+  /// sampling scheme — e.g. BatchRng's ziggurat over raw blocks — so the
   /// realized values need not equal n unit GenerateScalar calls; only the
   /// joint distribution is contractual). A false return must leave
   /// `rng` untouched. The default delegates to GenerateScalar, whose
@@ -77,8 +77,8 @@ class NormalVg : public VgFunction {
                   std::vector<table::Row>* out) const override;
   bool GenerateScalar(const table::Row& params, Rng& rng,
                       double* out) const override;
-  /// Blocked sampler: BatchRng's vectorized Box-Muller fills the block
-  /// (both variates of each pair, no rejection), then one affine pass.
+  /// Blocked sampler: BatchRng's ziggurat fills the block (one raw word
+  /// per first attempt), then one affine pass.
   bool GenerateScalarN(const table::Row& params, Rng& rng, size_t n,
                        double* out) const override;
 

@@ -35,23 +35,39 @@ uint64_t ParamHash(const std::map<std::string, double>& params) {
 /// What one request's replications need, behind a single pointer so the
 /// rep callback fits std::function's small buffer (no allocation per
 /// request). A head request pins its version lazily, at the first
-/// replication: a cache hit never touches the chain.
+/// replication, and the replication seed is derived there too: a cache hit
+/// never touches the chain and never hashes the key.
 struct RepContext {
   VersionChain* chain = nullptr;
   const McQuerySpec* spec = nullptr;
   const std::map<std::string, double>* params = nullptr;
-  uint64_t version = 0;
+  const CacheKey* key = nullptr;
+  uint64_t base_seed = 0;
   uint64_t rep_seed = 0;
+  // rep_seed is derived from *key. Set only after a successful pin, so a
+  // head retry on a newer version derives it afresh.
+  bool seeded = false;
   SnapshotRef snap;
-  bool reclaimed = false;  // `version` was gone before it could be pinned
+  bool reclaimed = false;  // key->version was gone before it could be pinned
 
   Result<double> Run(uint64_t rep) {
     if (!snap.valid()) {
-      snap = chain->Pin(version);
+      snap = chain->Pin(key->version);
       if (!snap.valid()) {
         reclaimed = true;
         return Status::FailedPrecondition("serve: head version reclaimed");
       }
+    }
+    if (!seeded) {
+      // Replication i of a key always evaluates with Substream(rep_seed,
+      // i): a pure function of (base seed, key, i). This is what makes an
+      // answer assembled from cached + topped-up reps bit-identical to any
+      // single session running the same reps itself.
+      rep_seed = obs::FingerprintMix(
+          obs::FingerprintMix(obs::FingerprintMix(base_seed, key->query_fp),
+                              key->param_hash),
+          key->version);
+      seeded = true;
     }
     Rng rng = Rng::Substream(rep_seed, rep);
     return spec->eval(snap.state(), *params, rng);
@@ -171,9 +187,12 @@ Result<Answer> Server::Execute(Session& session, const Request& req) {
   // An explicit version is pinned first; a head request reads the head
   // number only. A version exists before queries_ is read, so no AddQuery
   // can still be running.
+  CacheKey key;
   RepContext ctx;
   ctx.chain = &chain_;
   ctx.params = &req.params;
+  ctx.key = &key;
+  ctx.base_seed = opts_.seed;
   if (req.version != Request::kHead) {
     ctx.snap = chain_.Pin(req.version);
     if (!ctx.snap.valid()) {
@@ -191,7 +210,6 @@ Result<Answer> Server::Execute(Session& session, const Request& req) {
   }
   ctx.spec = &it->second.spec;
 
-  CacheKey key;
   key.query_fp = it->second.fingerprint;
   key.param_hash = ParamHash(req.params);
   // A head request whose version was reclaimed before its first
@@ -200,16 +218,7 @@ Result<Answer> Server::Execute(Session& session, const Request& req) {
   Result<ResultCache::FetchResult> fetched = ResultCache::FetchResult();
   do {
     key.version = ctx.snap.valid() ? ctx.snap.version() : chain_.head_version();
-    ctx.version = key.version;
     ctx.reclaimed = false;
-    // Replication i of this key always evaluates with Substream(rep_seed,
-    // i): a pure function of (base seed, key, i). This is what makes an
-    // answer assembled from cached + topped-up reps bit-identical to any
-    // single session running the same reps itself.
-    ctx.rep_seed = obs::FingerprintMix(
-        obs::FingerprintMix(obs::FingerprintMix(opts_.seed, key.query_fp),
-                            key.param_hash),
-        key.version);
     fetched = cache_.Fetch(key, req.target_half_width, opts_.min_reps,
                            req.max_reps,
                            [c = &ctx](uint64_t rep) { return c->Run(rep); });

@@ -20,7 +20,7 @@ constexpr const char* kKernelNames[] = {
     "cmp_u8_bitmap",  "bitmap_words",         "popcount_words",
     "cmp_f64_mask",   "masked_add_f64",       "sum_f64",
     "minmax_f64",     "affine_map_f64",       "rng_block",
-    "uniform_block",  "normal_block",
+    "uniform_block",
 };
 static_assert(sizeof(kKernelNames) / sizeof(kKernelNames[0]) ==
               static_cast<size_t>(KernelId::kNumKernels));
@@ -246,11 +246,6 @@ void RngBlock(uint64_t* state, uint64_t* raw) {
 void UniformBlock(const uint64_t* raw, double* out) {
   CountKernel(KernelId::kUniformBlock);
   T().uniform_block(raw, out);
-}
-
-void NormalBlock(const uint64_t* raw, double* out) {
-  CountKernel(KernelId::kNormalBlock);
-  T().normal_block(raw, out);
 }
 
 }  // namespace mde::simd

@@ -35,7 +35,6 @@ struct KernelTable {
   double (*max_f64)(const double*, size_t);
   void (*rng_block)(uint64_t*, uint64_t*);
   void (*uniform_block)(const uint64_t*, double*);
-  void (*normal_block)(const uint64_t*, double*);
 };
 
 /// The scalar table always exists; the vector tables exist only in builds

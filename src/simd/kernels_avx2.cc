@@ -14,36 +14,19 @@ namespace {
 struct Avx2Ops {
   using V = __m256d;
   using U = __m256i;
-  using M = __m256d;
   static constexpr size_t kWidth = 4;
 
   static V set1(double c) { return _mm256_set1_pd(c); }
-  static V load(const double* p) { return _mm256_loadu_pd(p); }
   static U load_u(const uint64_t* p) {
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
   static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
-  static V add(V a, V b) { return _mm256_add_pd(a, b); }
   static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V div(V a, V b) { return _mm256_div_pd(a, b); }
-  static V sqrt_(V a) { return _mm256_sqrt_pd(a); }
-  static V floor_(V a) { return _mm256_floor_pd(a); }
-  static U to_bits(V a) { return _mm256_castpd_si256(a); }
   static V from_bits(U a) { return _mm256_castsi256_pd(a); }
   static U shr(U a, int k) { return _mm256_srli_epi64(a, k); }
-  static U and_u(U a, uint64_t c) {
-    return _mm256_and_si256(a, _mm256_set1_epi64x(static_cast<long long>(c)));
-  }
   static U or_u(U a, uint64_t c) {
     return _mm256_or_si256(a, _mm256_set1_epi64x(static_cast<long long>(c)));
-  }
-  static M lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
-  static M eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
-  static M or_m(M a, M b) { return _mm256_or_pd(a, b); }
-  static V blend(M m, V a, V b) { return _mm256_blendv_pd(b, a, m); }
-  static V neg_if(M m, V x) {
-    return _mm256_xor_pd(x, _mm256_and_pd(m, _mm256_set1_pd(-0.0)));
   }
 };
 
@@ -404,10 +387,6 @@ void UniformBlockAvx2(const uint64_t* raw, double* out) {
   UniformBlockT<Avx2Ops>(raw, out);
 }
 
-void NormalBlockAvx2(const uint64_t* raw, double* out) {
-  NormalBlockT<Avx2Ops>(raw, out);
-}
-
 const KernelTable kAvx2Table = {
     &CmpF64BitmapAvx2,
     &CmpI64RangeBitmapAvx2,
@@ -428,7 +407,6 @@ const KernelTable kAvx2Table = {
     &MaxF64Avx2,
     &RngBlockAvx2,
     &UniformBlockAvx2,
-    &NormalBlockAvx2,
 };
 
 }  // namespace

@@ -16,10 +16,10 @@
 ///     functions; the vector tiers reuse them for sub-lane tails, which is
 ///     trivially bit-identical.
 ///  2. Templates over a lane-ops policy (ScalarOps here; Sse2Ops/Avx2Ops in
-///     their TUs). The transcendental pipeline (log, sin/cos of 2*pi*u,
-///     Box-Muller) is written ONCE against the policy, so every tier
-///     executes the identical IEEE operation DAG and produces identical
-///     bits per element — the property the differential suite locks in.
+///     their TUs). The raw-bits-to-uniform map is written ONCE against the
+///     policy, so every tier executes the identical IEEE operation DAG and
+///     produces identical bits per element — the property the
+///     differential suite locks in.
 ///
 /// All TUs including this header are compiled with -ffp-contract=off and
 /// without -mfma: a contracted a*b+c rounds once instead of twice and would
@@ -296,36 +296,22 @@ inline void RngBlockRef(uint64_t* state, uint64_t* raw) {
 }
 
 // ---------------------------------------------------------------------------
-// Lane-ops policy + the shared transcendental pipeline.
+// Lane-ops policy + the shared raw-to-uniform map.
 // ---------------------------------------------------------------------------
 
 struct ScalarOps {
   using V = double;
   using U = uint64_t;
-  using M = bool;
   static constexpr size_t kWidth = 1;
 
   static V set1(double c) { return c; }
-  static V load(const double* p) { return *p; }
   static U load_u(const uint64_t* p) { return *p; }
   static void store(double* p, V v) { *p = v; }
-  static V add(V a, V b) { return a + b; }
   static V sub(V a, V b) { return a - b; }
   static V mul(V a, V b) { return a * b; }
-  static V div(V a, V b) { return a / b; }
-  static V sqrt_(V a) { return std::sqrt(a); }
-  static V floor_(V a) { return std::floor(a); }
-  static U to_bits(V a) { return std::bit_cast<U>(a); }
   static V from_bits(U a) { return std::bit_cast<V>(a); }
   static U shr(U a, int k) { return a >> k; }
-  static U and_u(U a, uint64_t c) { return a & c; }
   static U or_u(U a, uint64_t c) { return a | c; }
-  static M lt(V a, V b) { return a < b; }
-  static M eq(V a, V b) { return a == b; }
-  static M or_m(M a, M b) { return a || b; }
-  /// true lane -> a.
-  static V blend(M m, V a, V b) { return m ? a : b; }
-  static V neg_if(M m, V x) { return m ? -x : x; }
 };
 
 /// (raw >> 12) * 2^-52 in [0, 1). The 52-bit payload stays below 2^52, so
@@ -338,109 +324,12 @@ inline typename O::V ToUnit(typename O::U raw) {
   return O::mul(d, O::set1(0x1p-52));
 }
 
-/// log(x) for normal positive x (here: x in [2^-52, 1]). Cephes log.c
-/// ported onto the ops policy: exponent/mantissa split by bit surgery,
-/// rational approximation on [sqrt(1/2), sqrt(2)).
-template <typename O>
-inline typename O::V LogV(typename O::V x) {
-  using V = typename O::V;
-  using U = typename O::U;
-  using M = typename O::M;
-  const U bits = O::to_bits(x);
-  // Biased exponent to double, exactly, via the 2^52 magic constant.
-  const U ebits = O::and_u(O::shr(bits, 52), 0x7ffULL);
-  V e = O::sub(O::from_bits(O::or_u(ebits, 0x4330000000000000ULL)),
-               O::set1(0x1p52));
-  e = O::sub(e, O::set1(1022.0));
-  // Mantissa rescaled to [0.5, 1).
-  V m = O::from_bits(O::or_u(O::and_u(bits, 0x000fffffffffffffULL),
-                             0x3fe0000000000000ULL));
-  const M lo = O::lt(m, O::set1(0.70710678118654752440));
-  m = O::blend(lo, O::add(m, m), m);
-  e = O::blend(lo, O::sub(e, O::set1(1.0)), e);
-  const V xr = O::sub(m, O::set1(1.0));
-  const V z = O::mul(xr, xr);
-  V p = O::set1(1.01875663804580931796e-4);
-  p = O::add(O::mul(p, xr), O::set1(4.97494994976747001425e-1));
-  p = O::add(O::mul(p, xr), O::set1(4.70579119878881725854e0));
-  p = O::add(O::mul(p, xr), O::set1(1.44989225341610930846e1));
-  p = O::add(O::mul(p, xr), O::set1(1.79368678507819816313e1));
-  p = O::add(O::mul(p, xr), O::set1(7.70838733755885391666e0));
-  V q = O::add(xr, O::set1(1.12873587189167450590e1));
-  q = O::add(O::mul(q, xr), O::set1(4.52279145837532221105e1));
-  q = O::add(O::mul(q, xr), O::set1(8.29875266912776603211e1));
-  q = O::add(O::mul(q, xr), O::set1(7.11544750618563894466e1));
-  q = O::add(O::mul(q, xr), O::set1(2.31251620126765340583e1));
-  V y = O::mul(xr, O::div(O::mul(z, p), q));
-  y = O::add(y, O::mul(e, O::set1(-2.121944400546905827679e-4)));
-  y = O::sub(y, O::mul(z, O::set1(0.5)));
-  V r = O::add(xr, y);
-  r = O::add(r, O::mul(e, O::set1(0.693359375)));
-  return r;
-}
-
-/// sin and cos of 2*pi*u for u in [0, 1). Reduction happens in TURNS:
-/// k = floor(4u + 0.5) picks the quadrant and v = u - k/4 is EXACT (operands
-/// within a factor of two), so no extended-precision argument reduction is
-/// needed; the Cephes polynomials then run on 2*pi*v in [-pi/4, pi/4].
-template <typename O>
-inline void SinCosTwoPi(typename O::V u, typename O::V* s_out,
-                        typename O::V* c_out) {
-  using V = typename O::V;
-  using M = typename O::M;
-  const V k = O::floor_(O::add(O::mul(u, O::set1(4.0)), O::set1(0.5)));
-  const V v = O::sub(u, O::mul(k, O::set1(0.25)));
-  const V x = O::mul(v, O::set1(6.283185307179586476925286766559));
-  const V z = O::mul(x, x);
-  V sp = O::set1(1.58962301576546568060e-10);
-  sp = O::add(O::mul(sp, z), O::set1(-2.50507477628578072866e-8));
-  sp = O::add(O::mul(sp, z), O::set1(2.75573136213857245213e-6));
-  sp = O::add(O::mul(sp, z), O::set1(-1.98412698295895385996e-4));
-  sp = O::add(O::mul(sp, z), O::set1(8.33333333332211858878e-3));
-  sp = O::add(O::mul(sp, z), O::set1(-1.66666666666666307295e-1));
-  const V s = O::add(x, O::mul(O::mul(x, z), sp));
-  V cp = O::set1(-1.13585365213876817300e-11);
-  cp = O::add(O::mul(cp, z), O::set1(2.08757008419747316778e-9));
-  cp = O::add(O::mul(cp, z), O::set1(-2.75573141792967388112e-7));
-  cp = O::add(O::mul(cp, z), O::set1(2.48015872888517179954e-5));
-  cp = O::add(O::mul(cp, z), O::set1(-1.38888888888730564116e-3));
-  cp = O::add(O::mul(cp, z), O::set1(4.16666666666665929218e-2));
-  const V c = O::add(O::sub(O::set1(1.0), O::mul(z, O::set1(0.5))),
-                     O::mul(O::mul(z, z), cp));
-  // Quadrant fixup. k is in {0,1,2,3,4}; 4 means "just below a full turn"
-  // (v negative) and needs no adjustment, like 0.
-  const M swap = O::or_m(O::eq(k, O::set1(1.0)), O::eq(k, O::set1(3.0)));
-  const M sneg = O::or_m(O::eq(k, O::set1(2.0)), O::eq(k, O::set1(3.0)));
-  const M cneg = O::or_m(O::eq(k, O::set1(1.0)), O::eq(k, O::set1(2.0)));
-  *s_out = O::neg_if(sneg, O::blend(swap, c, s));
-  *c_out = O::neg_if(cneg, O::blend(swap, s, c));
-}
-
 /// 64 raw draws -> 64 uniforms in [0, 1). out[j] depends only on raw[j],
 /// so vector width cannot change any value.
 template <typename O>
 inline void UniformBlockT(const uint64_t* raw, double* out) {
   for (size_t i = 0; i < kRngBatch; i += O::kWidth) {
     O::store(out + i, ToUnit<O>(O::load_u(raw + i)));
-  }
-}
-
-/// 64 raw draws -> 64 standard normals (see simd.h for the exact layout).
-/// out[i] / out[32+i] depend only on raw[i] and raw[32+i]: elementwise, so
-/// identical for every vector width given the shared LogV / SinCosTwoPi.
-template <typename O>
-inline void NormalBlockT(const uint64_t* raw, double* out) {
-  using V = typename O::V;
-  for (size_t i = 0; i < kRngBatch / 2; i += O::kWidth) {
-    // u1 in (0, 1]: (payload + 1) * 2^-52, computed as ToUnit + 2^-52 which
-    // is exact (both terms are multiples of 2^-52 with sum <= 1).
-    const V u1 = O::add(ToUnit<O>(O::load_u(raw + i)), O::set1(0x1p-52));
-    const V u2 = ToUnit<O>(O::load_u(raw + kRngBatch / 2 + i));
-    const V r = O::sqrt_(O::mul(O::set1(-2.0), LogV<O>(u1)));
-    V s, c;
-    SinCosTwoPi<O>(u2, &s, &c);
-    O::store(out + i, O::mul(r, c));
-    O::store(out + kRngBatch / 2 + i, O::mul(r, s));
   }
 }
 

@@ -12,10 +12,6 @@ void UniformBlockScalar(const uint64_t* raw, double* out) {
   UniformBlockT<ScalarOps>(raw, out);
 }
 
-void NormalBlockScalar(const uint64_t* raw, double* out) {
-  NormalBlockT<ScalarOps>(raw, out);
-}
-
 const KernelTable kScalarTable = {
     &CmpF64BitmapRef,
     &CmpI64RangeBitmapRef,
@@ -36,7 +32,6 @@ const KernelTable kScalarTable = {
     &MaxF64Ref,
     &RngBlockRef,
     &UniformBlockScalar,
-    &NormalBlockScalar,
 };
 
 }  // namespace

@@ -15,36 +15,19 @@ namespace {
 struct Sse2Ops {
   using V = __m128d;
   using U = __m128i;
-  using M = __m128d;
   static constexpr size_t kWidth = 2;
 
   static V set1(double c) { return _mm_set1_pd(c); }
-  static V load(const double* p) { return _mm_loadu_pd(p); }
   static U load_u(const uint64_t* p) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
   static void store(double* p, V v) { _mm_storeu_pd(p, v); }
-  static V add(V a, V b) { return _mm_add_pd(a, b); }
   static V sub(V a, V b) { return _mm_sub_pd(a, b); }
   static V mul(V a, V b) { return _mm_mul_pd(a, b); }
-  static V div(V a, V b) { return _mm_div_pd(a, b); }
-  static V sqrt_(V a) { return _mm_sqrt_pd(a); }
-  static V floor_(V a) { return _mm_floor_pd(a); }
-  static U to_bits(V a) { return _mm_castpd_si128(a); }
   static V from_bits(U a) { return _mm_castsi128_pd(a); }
   static U shr(U a, int k) { return _mm_srli_epi64(a, k); }
-  static U and_u(U a, uint64_t c) {
-    return _mm_and_si128(a, _mm_set1_epi64x(static_cast<long long>(c)));
-  }
   static U or_u(U a, uint64_t c) {
     return _mm_or_si128(a, _mm_set1_epi64x(static_cast<long long>(c)));
-  }
-  static M lt(V a, V b) { return _mm_cmplt_pd(a, b); }
-  static M eq(V a, V b) { return _mm_cmpeq_pd(a, b); }
-  static M or_m(M a, M b) { return _mm_or_pd(a, b); }
-  static V blend(M m, V a, V b) { return _mm_blendv_pd(b, a, m); }
-  static V neg_if(M m, V x) {
-    return _mm_xor_pd(x, _mm_and_pd(m, _mm_set1_pd(-0.0)));
   }
 };
 
@@ -279,10 +262,6 @@ void UniformBlockSse(const uint64_t* raw, double* out) {
   UniformBlockT<Sse2Ops>(raw, out);
 }
 
-void NormalBlockSse(const uint64_t* raw, double* out) {
-  NormalBlockT<Sse2Ops>(raw, out);
-}
-
 const KernelTable kSse4Table = {
     &CmpF64BitmapSse,
     &CmpI64RangeBitmapSse,
@@ -303,7 +282,6 @@ const KernelTable kSse4Table = {
     &MaxF64Sse,
     &RngBlockRef,
     &UniformBlockSse,
-    &NormalBlockSse,
 };
 
 }  // namespace

@@ -23,9 +23,6 @@
 ///    -mfma) precisely so the op DAG stays identical.
 ///  - Horizontal float reductions (SumF64/MinF64/MaxF64) use a FIXED
 ///    4-lane-strided tree implemented with the same shape on every tier.
-///  - Transcendentals (the batched RNG's log / sin / cos) share one
-///    templated polynomial implementation instantiated per lane type, so
-///    the operation DAG is identical by construction.
 /// The differential suite (tests/simd_test.cc) sweeps every kernel across
 /// tiers x thread counts and asserts equality bit-for-bit.
 namespace mde::simd {
@@ -76,7 +73,6 @@ enum class KernelId : int {
   kAffineMapF64,
   kRngBlock,
   kUniformBlock,
-  kNormalBlock,
   kNumKernels
 };
 
@@ -198,15 +194,9 @@ void RngBlock(uint64_t* state, uint64_t* raw);
 
 /// raw -> uniforms in [0, 1): out[j] = (raw[j] >> 12) * 2^-52. The 52-bit
 /// mapping keeps the integer->double conversion exact on every tier.
+/// (Normals are not a kernel: BatchRng maps a raw block through the scalar
+/// ziggurat, which is one code path on every tier.)
 void UniformBlock(const uint64_t* raw, double* out);
-
-/// raw -> 64 standard normals via Box-Muller: for i < 32, with
-/// u1 = ((raw[i] >> 12) + 1) * 2^-52 in (0, 1] and
-/// u2 = (raw[32+i] >> 12) * 2^-52 in [0, 1),
-///   r = sqrt(-2 log u1),  out[i] = r cos(2 pi u2),  out[32+i] = r sin(2 pi u2).
-/// log/sin/cos are the shared polynomial implementations, so all tiers
-/// produce identical bits.
-void NormalBlock(const uint64_t* raw, double* out);
 
 }  // namespace mde::simd
 

@@ -26,6 +26,7 @@ const NormalZiggurat& NormalZigguratTables() {
     }
     t.x[n] = 0.0;
     for (int i = 0; i <= n; ++i) t.f[i] = f(t.x[i]);
+    for (int i = 0; i < n; ++i) t.x_scaled[i] = t.x[i] * 0x1p-52;
     return t;
   }();
   return tables;
@@ -46,27 +47,22 @@ double NormalTail(Rng& rng) {
 
 }  // namespace
 
-double SampleStandardNormal(Rng& rng) {
-  const NormalZiggurat& z = NormalZigguratTables();
-  while (true) {
-    const uint64_t bits = rng.Next();
-    const size_t i = bits & 0xff;
-    // Bits 11..63 as a signed 53-bit integer: u in [-1, 1), independent of
-    // the layer's bits 0..7.
-    const double u =
-        static_cast<double>(static_cast<int64_t>(bits) >> 11) * 0x1p-52;
-    const double x = u * z.x[i];
-    if (std::fabs(x) < z.x[i + 1]) return x;
-    if (i == 0) {
-      const double t = NormalTail(rng);
-      return u < 0.0 ? -t : t;
-    }
-    // Wedge: a uniform height in the layer, under the density or redraw.
-    if (z.f[i + 1] + (z.f[i] - z.f[i + 1]) * rng.NextDouble() <
-        std::exp(-0.5 * x * x)) {
-      return x;
-    }
+double NormalZigguratSlow(size_t layer, double u, double x, Rng& rng) {
+  if (layer == 0) {
+    const double t = NormalTail(rng);
+    return u < 0.0 ? -t : t;
   }
+  // Wedge: a uniform height in the layer, under the density or redraw.
+  const NormalZiggurat& z = NormalZigguratTables();
+  if (z.f[layer + 1] + (z.f[layer] - z.f[layer + 1]) * rng.NextDouble() <
+      std::exp(-0.5 * x * x)) {
+    return x;
+  }
+  return SampleStandardNormal(rng);
+}
+
+double SampleStandardNormal(Rng& rng) {
+  return NormalFromBits(NormalZigguratTables(), rng.Next(), rng);
 }
 
 double SampleNormal(Rng& rng, double mean, double sigma) {

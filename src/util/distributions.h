@@ -1,6 +1,7 @@
 #ifndef MDE_UTIL_DISTRIBUTIONS_H_
 #define MDE_UTIL_DISTRIBUTIONS_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -23,22 +24,49 @@ double SampleUniform(Rng& rng, double lo, double hi);
 /// word, a multiply and a compare; the rest take a wedge test (one more
 /// uniform and an exp) or, in layer 0, Marsaglia's exponential tail beyond
 /// R. Stateless: every draw is a pure function of the generator state.
+/// BatchRng::FillNormal runs the same algorithm over its raw blocks
+/// (NormalFromBits below).
 double SampleStandardNormal(Rng& rng);
 
 /// The ziggurat's layer tables, exposed for their tests. With
 /// f(x) = exp(-x^2/2), layer i in 1..255 is the rectangle
 /// [0, x[i]] x [f[i], f[i+1]] and layer 0 is the strip [0, R] x [0, f(R)]
 /// plus the tail beyond R, drawn as width x[0] = V / f(R); every layer has
-/// area V. x[1] = R, x[256] = 0, and f[i] = f(x[i]). Built once, on first
-/// use (thread-safe).
+/// area V. x[1] = R, x[256] = 0, and f[i] = f(x[i]). x_scaled[i] is
+/// x[i] * 2^-52, which lets the sampler skip scaling its integer abscissa.
+/// Built once, on first use (thread-safe).
 struct NormalZiggurat {
   static constexpr int kLayers = 256;
   static constexpr double kR = 3.6541528853610088;
   static constexpr double kV = 0.00492867323399;
   double x[kLayers + 1];
   double f[kLayers + 1];
+  double x_scaled[kLayers];
 };
 const NormalZiggurat& NormalZigguratTables();
+
+/// The ziggurat's slow path, for a first attempt in layer `layer` with
+/// signed unit abscissa `u` and x = u * x[layer] that missed the fast
+/// accept: the exponential tail in layer 0, else the wedge test. Further
+/// uniforms come from `rng`; a wedge reject returns a fresh
+/// SampleStandardNormal(rng).
+double NormalZigguratSlow(size_t layer, double u, double x, Rng& rng);
+
+/// One standard normal whose first ziggurat attempt is the 64-bit word
+/// `bits` (already drawn by the caller): the fast accept inline, anything
+/// else continued on `rng`. SampleStandardNormal is this with
+/// bits = rng.Next(); BatchRng feeds it the words of a raw block.
+inline double NormalFromBits(const NormalZiggurat& z, uint64_t bits,
+                             Rng& rng) {
+  const size_t i = bits & 0xff;
+  // Bits 11..63 as a signed 53-bit integer k: u = k * 2^-52 in [-1, 1),
+  // independent of the layer's bits 0..7. Scaling by a power of two is
+  // exact, so k * x_scaled[i] is u * x[i] bit for bit.
+  const double k = static_cast<double>(static_cast<int64_t>(bits) >> 11);
+  const double x = k * z.x_scaled[i];
+  if (std::fabs(x) < z.x[i + 1]) [[likely]] return x;
+  return NormalZigguratSlow(i, k * 0x1p-52, x, rng);
+}
 
 /// Normal with the given mean and standard deviation (sigma >= 0).
 double SampleNormal(Rng& rng, double mean, double sigma);

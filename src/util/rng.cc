@@ -1,5 +1,7 @@
 #include "util/rng.h"
 
+#include "util/distributions.h"
+
 namespace mde {
 
 Rng::Rng(uint64_t seed) {
@@ -58,6 +60,15 @@ BatchRng::BatchRng(Rng& seeder) {
     SplitMix64 sm(seeder.Next());
     for (int w = 0; w < 4; ++w) state_[w * 4 + l] = sm.Next();
   }
+  aux_ = Rng(seeder.Next());
+}
+
+void BatchRng::ZigguratBlock(double* out) {
+  simd::RngBlock(state_, raw_);
+  const NormalZiggurat& z = NormalZigguratTables();
+  for (size_t j = 0; j < simd::kRngBatch; ++j) {
+    out[j] = NormalFromBits(z, raw_[j], aux_);
+  }
 }
 
 void BatchRng::RefillUniform() {
@@ -67,8 +78,7 @@ void BatchRng::RefillUniform() {
 }
 
 void BatchRng::RefillNormal() {
-  simd::RngBlock(state_, raw_);
-  simd::NormalBlock(raw_, nrm_);
+  ZigguratBlock(nrm_);
   npos_ = 0;
 }
 
@@ -100,8 +110,7 @@ void BatchRng::FillNormal(double* out, size_t n) {
   size_t i = 0;
   while (npos_ < simd::kRngBatch && i < n) out[i++] = nrm_[npos_++];
   while (n - i >= simd::kRngBatch) {
-    simd::RngBlock(state_, raw_);
-    simd::NormalBlock(raw_, out + i);
+    ZigguratBlock(out + i);
     i += simd::kRngBatch;
   }
   if (i < n) {

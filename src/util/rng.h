@@ -94,11 +94,15 @@ class Rng {
 };
 
 /// Batched variate generator over the SIMD kernel layer: four interleaved
-/// xoshiro256++ lanes advanced simd::kRngBatch (= 64) draws at a time, with
-/// the raw bits mapped to uniforms or Box-Muller normals by the dispatched
-/// block kernels. The produced stream is a pure function of the seeding Rng
-/// and the sequence of calls — independent of dispatch tier (bitwise, see
-/// simd/simd.h) and of how consumers chunk their Fill requests.
+/// xoshiro256++ lanes advanced simd::kRngBatch (= 64) draws at a time by
+/// the dispatched RngBlock kernel. A block's raw words become uniforms
+/// (UniformBlock) or standard normals by the ziggurat SampleStandardNormal
+/// uses: raw word j is the first attempt of normal j, accepted on the spot
+/// about 98.5% of the time, and the rest (wedge, tail, restarts) continue
+/// on a private scalar Rng. The ziggurat is one scalar code path, so the
+/// produced stream is a pure function of the seeding Rng and the sequence
+/// of calls — independent of dispatch tier (bitwise, see simd/simd.h) and
+/// of how consumers chunk their Fill requests.
 ///
 /// This is deliberately NOT the same stream as Rng::NextDouble() or the
 /// scalar one-at-a-time samplers; consumers switching to BatchRng change
@@ -106,9 +110,10 @@ class Rng {
 /// stream is stable and reproducible.
 class BatchRng {
  public:
-  /// Seeds the four lanes by drawing exactly four values from `seeder`
-  /// (advancing it deterministically), each expanded to a lane state via
-  /// SplitMix64.
+  /// Draws exactly five values from `seeder` (advancing it
+  /// deterministically): the first four seed the lanes, each expanded to a
+  /// lane state via SplitMix64, and the fifth seeds the scalar Rng that
+  /// the ziggurat's slow path draws from.
   explicit BatchRng(Rng& seeder);
 
   /// Next uniform draw in [0, 1).
@@ -126,6 +131,8 @@ class BatchRng {
  private:
   void RefillUniform();
   void RefillNormal();
+  /// The next raw block mapped to 64 normals in out[0..64).
+  void ZigguratBlock(double* out);
 
   alignas(64) uint64_t state_[16];  // lane l word w at state_[w * 4 + l]
   alignas(64) uint64_t raw_[simd::kRngBatch];
@@ -133,6 +140,7 @@ class BatchRng {
   alignas(64) double nrm_[simd::kRngBatch];
   size_t upos_ = simd::kRngBatch;  // buffer drained
   size_t npos_ = simd::kRngBatch;
+  Rng aux_;  // the ziggurat's wedge and tail uniforms
 };
 
 }  // namespace mde

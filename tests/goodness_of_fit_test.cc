@@ -112,6 +112,73 @@ TEST(GoodnessOfFitTest, StandardNormalLagOneCorrelationNearZero) {
   EXPECT_LT(std::fabs(cov / var), 3.29 / std::sqrt(static_cast<double>(n)));
 }
 
+/// BatchRng runs the same ziggurat over raw blocks, with the slow path on
+/// a private scalar generator; these mirror the scalar tests above over
+/// FillNormal, drawn in chunks that are not a multiple of the 64-draw
+/// block so buffered and direct blocks both contribute.
+template <typename Fn>
+void ForEachBatchNormal(uint64_t seed, size_t n, Fn&& fn) {
+  Rng seeder(seed);
+  BatchRng batch(seeder);
+  std::vector<double> chunk(4000);
+  for (size_t done = 0; done < n; done += chunk.size()) {
+    const size_t take = std::min(chunk.size(), n - done);
+    batch.FillNormal(chunk.data(), take);
+    for (size_t i = 0; i < take; ++i) fn(chunk[i]);
+  }
+}
+
+TEST(GoodnessOfFitTest, BatchNormal256EqualProbabilityBins) {
+  const size_t n = 4000000;
+  std::vector<size_t> counts(256, 0);
+  ForEachBatchNormal(207, n, [&](double x) {
+    const double p = NormalCdf(x, 0.0, 1.0);
+    ++counts[std::min<size_t>(static_cast<size_t>(p * 256.0), 255)];
+  });
+  // 255 dof, 99.9% quantile ~ 330.5 (Wilson-Hilferty).
+  EXPECT_LT(ChiSquare(counts, std::vector<double>(256, 1.0 / 256), n), 330.5);
+}
+
+TEST(GoodnessOfFitTest, BatchNormalTailFrequencies) {
+  // Beyond +-R every draw comes from the exponential tail on the private
+  // generator; +-2 and +-3 mix fast accepts and wedges.
+  const size_t n = 8000000;
+  const double t[] = {2.0, 3.0, NormalZiggurat::kR, 4.5};
+  size_t above[4] = {}, below[4] = {};
+  ForEachBatchNormal(208, n, [&](double x) {
+    for (int k = 0; k < 4; ++k) {
+      above[k] += x > t[k];
+      below[k] += x < -t[k];
+    }
+  });
+  for (int k = 0; k < 4; ++k) {
+    const double p = NormalCdf(-t[k], 0.0, 1.0);
+    const double mean = static_cast<double>(n) * p;
+    const double bound = 3.29 * std::sqrt(mean * (1.0 - p)) + 1.0;
+    EXPECT_NEAR(static_cast<double>(above[k]), mean, bound) << "x > " << t[k];
+    EXPECT_NEAR(static_cast<double>(below[k]), mean, bound) << "x < -" << t[k];
+  }
+}
+
+TEST(GoodnessOfFitTest, BatchNormalLagOneCorrelationNearZero) {
+  // Neighbours in the output come from different lanes (raw word j is lane
+  // j % 4), so this also checks the lanes are not correlated.
+  const size_t n = 4000000;
+  std::vector<double> xs;
+  xs.reserve(n);
+  ForEachBatchNormal(209, n, [&](double x) { xs.push_back(x); });
+  double mean = 0.0;
+  for (double x : xs) mean += x;
+  mean /= static_cast<double>(n);
+  double cov = 0.0, var = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    var += (xs[i] - mean) * (xs[i] - mean);
+    if (i + 1 < n) cov += (xs[i] - mean) * (xs[i + 1] - mean);
+  }
+  // Under independence r is ~N(0, 1/n); 3.29 sd is the 99.9% bound.
+  EXPECT_LT(std::fabs(cov / var), 3.29 / std::sqrt(static_cast<double>(n)));
+}
+
 TEST(GoodnessOfFitTest, ExponentialQuartiles) {
   Rng rng(103);
   const size_t n = 80000;
