@@ -78,7 +78,7 @@ void BatchRng::RefillUniform() {
 }
 
 void BatchRng::RefillNormal() {
-  ZigguratBlock(nrm_);
+  simd::RngBlock(state_, nraw_);
   npos_ = 0;
 }
 
@@ -89,7 +89,7 @@ double BatchRng::NextUniform() {
 
 double BatchRng::NextNormal() {
   if (npos_ == simd::kRngBatch) RefillNormal();
-  return nrm_[npos_++];
+  return NormalFromBits(NormalZigguratTables(), nraw_[npos_++], aux_);
 }
 
 void BatchRng::FillUniform(double* out, size_t n) {
@@ -107,15 +107,18 @@ void BatchRng::FillUniform(double* out, size_t n) {
 }
 
 void BatchRng::FillNormal(double* out, size_t n) {
+  const NormalZiggurat& z = NormalZigguratTables();
   size_t i = 0;
-  while (npos_ < simd::kRngBatch && i < n) out[i++] = nrm_[npos_++];
+  while (npos_ < simd::kRngBatch && i < n) {
+    out[i++] = NormalFromBits(z, nraw_[npos_++], aux_);
+  }
   while (n - i >= simd::kRngBatch) {
     ZigguratBlock(out + i);
     i += simd::kRngBatch;
   }
   if (i < n) {
     RefillNormal();
-    while (i < n) out[i++] = nrm_[npos_++];
+    while (i < n) out[i++] = NormalFromBits(z, nraw_[npos_++], aux_);
   }
 }
 

@@ -137,7 +137,10 @@ class BatchRng {
   alignas(64) uint64_t state_[16];  // lane l word w at state_[w * 4 + l]
   alignas(64) uint64_t raw_[simd::kRngBatch];
   alignas(64) double uni_[simd::kRngBatch];
-  alignas(64) double nrm_[simd::kRngBatch];
+  // The open normal block's raw words. Each is mapped to its normal when
+  // consumed, so a Fill that ends mid-block maps no word it does not
+  // return, and aux_ is still drawn in word order.
+  alignas(64) uint64_t nraw_[simd::kRngBatch];
   size_t upos_ = simd::kRngBatch;  // buffer drained
   size_t npos_ = simd::kRngBatch;
   Rng aux_;  // the ziggurat's wedge and tail uniforms

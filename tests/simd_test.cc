@@ -535,6 +535,40 @@ TEST(SimdKernelTest, BatchRngStreamInvariantUnderTierAndChunking) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
+TEST(SimdKernelTest, BatchRngNormalStreamInvariantUnderChunking) {
+  // A partial block's raw words are mapped only as they are consumed, so
+  // any mix of odd-sized fills, whole blocks and single draws must replay
+  // the one-shot stream bit for bit (the ziggurat's slow-path draws stay in
+  // word order).
+  constexpr size_t kDraws = 50000;
+  simd::SetTier(simd::BestSupportedTier());
+  std::vector<double> ref(kDraws);
+  {
+    Rng seeder(0xc0ffee);
+    BatchRng batch(seeder);
+    batch.FillNormal(ref.data(), kDraws);
+  }
+  Rng seeder(0xc0ffee);
+  BatchRng batch(seeder);
+  std::vector<double> got;
+  got.reserve(kDraws);
+  // Fill sizes; 0 stands for one NextNormal().
+  constexpr size_t kSteps[] = {1, 1000, 63, 64, 65, 0, 7, 129, 1, 500};
+  for (size_t i = 0; got.size() < kDraws; ++i) {
+    const size_t take = std::min(kSteps[i % 10], kDraws - got.size());
+    if (take == 0) {
+      got.push_back(batch.NextNormal());
+      continue;
+    }
+    std::vector<double> part(take);
+    batch.FillNormal(part.data(), take);
+    got.insert(got.end(), part.begin(), part.end());
+  }
+  for (size_t j = 0; j < kDraws; ++j) {
+    ASSERT_TRUE(BitEq(got[j], ref[j])) << "j=" << j;
+  }
+}
+
 TEST(SimdKernelTest, BatchRngNormalFastPathIsTheScalarZiggurat) {
   // Raw word j of a block is the first ziggurat attempt of normal j. Where
   // that attempt is a fast-path accept, SampleStandardNormal on the word's
