@@ -136,21 +136,23 @@ Result<Table> GroupBy(const Table& t, const std::vector<std::string>& keys,
     }
   }
 
-  std::unordered_map<std::vector<Value>, std::vector<AggState>, KeyHash,
-                     KeyEq>
-      groups;
+  // Key -> group number; groups are kept by number in first-appearance
+  // order, so a key unequal to itself (NaN) is a group of its own.
+  std::unordered_map<std::vector<Value>, size_t, KeyHash, KeyEq> groups;
   groups.reserve(std::min<size_t>(t.num_rows(), 1024));
-  std::vector<std::vector<Value>> group_order;
-  group_order.reserve(std::min<size_t>(t.num_rows(), 1024));
+  std::vector<std::vector<Value>> group_keys;
+  std::vector<std::vector<AggState>> group_states;
   for (const Row& r : t.rows()) {
     std::vector<Value> key = ExtractKey(r, key_idx);
     auto it = groups.find(key);
     if (it == groups.end()) {
-      it = groups.emplace(key, std::vector<AggState>(aggs.size())).first;
-      group_order.push_back(key);
+      it = groups.emplace(key, group_keys.size()).first;
+      group_keys.push_back(std::move(key));
+      group_states.emplace_back(aggs.size());
     }
+    std::vector<AggState>& states = group_states[it->second];
     for (size_t a = 0; a < aggs.size(); ++a) {
-      AggState& st = it->second[a];
+      AggState& st = states[a];
       if (aggs[a].kind == AggKind::kCount) {
         ++st.count;
         continue;
@@ -173,10 +175,10 @@ Result<Table> GroupBy(const Table& t, const std::vector<std::string>& keys,
     out_cols.push_back({a.as, dt});
   }
   Table out{Schema(std::move(out_cols))};
-  out.Reserve(group_order.size());
-  for (const auto& key : group_order) {
-    const auto& states = groups[key];
-    Row r = key;
+  out.Reserve(group_keys.size());
+  for (size_t g = 0; g < group_keys.size(); ++g) {
+    const auto& states = group_states[g];
+    Row r = group_keys[g];
     for (size_t a = 0; a < aggs.size(); ++a) {
       const AggState& st = states[a];
       switch (aggs[a].kind) {
