@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,7 @@
 #include "mcdb/pregen.h"
 #include "mcdb/vg_function.h"
 #include "table/query.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace {
@@ -191,6 +193,24 @@ void BM_BundleQueryExec(benchmark::State& state) {
 BENCHMARK(BM_BundleQueryExec)
     ->Unit(benchmark::kMillisecond)
     ->Args({10000, 1000});
+
+/// One bundle row's draws: a fresh BatchRng (as NormalVg::GenerateScalarN
+/// seeds one per row) filling `n` standard normals. items/s is draws per
+/// second; run it under MDE_SIMD=scalar|sse4|avx2|avx512 to compare the
+/// per-draw cost of the dispatch tiers.
+void BM_FillNormal(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<double> row(n);
+  Rng seeder(0xf111);
+  for (auto _ : state) {
+    BatchRng batch(seeder);
+    batch.FillNormal(row.data(), n);
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FillNormal)->Arg(1000);
 
 }  // namespace
 

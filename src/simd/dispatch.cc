@@ -20,7 +20,7 @@ constexpr const char* kKernelNames[] = {
     "cmp_u8_bitmap",  "bitmap_words",         "popcount_words",
     "cmp_f64_mask",   "masked_add_f64",       "sum_f64",
     "minmax_f64",     "affine_map_f64",       "rng_block",
-    "uniform_block",
+    "uniform_block",  "normal_fast_block",
 };
 static_assert(sizeof(kKernelNames) / sizeof(kKernelNames[0]) ==
               static_cast<size_t>(KernelId::kNumKernels));
@@ -28,6 +28,8 @@ static_assert(sizeof(kKernelNames) / sizeof(kKernelNames[0]) ==
 const KernelTable* TableFor(Tier t) {
 #ifndef MDE_SIMD_SCALAR_ONLY
   switch (t) {
+    case Tier::kAvx512:
+      return internal::Avx512Table();
     case Tier::kAvx2:
       return internal::Avx2Table();
     case Tier::kSse4:
@@ -51,6 +53,7 @@ Tier RequestedTier() {
       return Tier::kSse4;
     }
     if (std::strcmp(env, "avx2") == 0) return Tier::kAvx2;
+    if (std::strcmp(env, "avx512") == 0) return Tier::kAvx512;
   }
   return BestSupportedTier();
 }
@@ -92,6 +95,8 @@ inline const KernelTable& T() { return *State().table; }
 
 const char* TierName(Tier t) {
   switch (t) {
+    case Tier::kAvx512:
+      return "avx512";
     case Tier::kAvx2:
       return "avx2";
     case Tier::kSse4:
@@ -106,6 +111,10 @@ Tier BestSupportedTier() {
 #if defined(MDE_SIMD_SCALAR_ONLY) || !defined(__x86_64__)
   return Tier::kScalar;
 #else
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512dq")) {
+    return Tier::kAvx512;
+  }
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
   if (__builtin_cpu_supports("sse4.2")) return Tier::kSse4;
   return Tier::kScalar;
@@ -246,6 +255,12 @@ void RngBlock(uint64_t* state, uint64_t* raw) {
 void UniformBlock(const uint64_t* raw, double* out) {
   CountKernel(KernelId::kUniformBlock);
   T().uniform_block(raw, out);
+}
+
+uint64_t NormalFastBlock(const uint64_t* raw, const double* x_scaled,
+                         const double* x_edge, double* out) {
+  CountKernel(KernelId::kNormalFastBlock);
+  return T().normal_fast_block(raw, x_scaled, x_edge, out);
 }
 
 }  // namespace mde::simd

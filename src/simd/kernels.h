@@ -35,6 +35,8 @@ struct KernelTable {
   double (*max_f64)(const double*, size_t);
   void (*rng_block)(uint64_t*, uint64_t*);
   void (*uniform_block)(const uint64_t*, double*);
+  uint64_t (*normal_fast_block)(const uint64_t*, const double*, const double*,
+                                double*);
 };
 
 /// The scalar table always exists; the vector tables exist only in builds
@@ -43,6 +45,7 @@ const KernelTable* ScalarTable();
 #ifndef MDE_SIMD_SCALAR_ONLY
 const KernelTable* Sse4Table();
 const KernelTable* Avx2Table();
+const KernelTable* Avx512Table();
 #endif
 
 /// The table the process currently dispatches through. Lazily initialized

@@ -407,6 +407,7 @@ const KernelTable kAvx2Table = {
     &MaxF64Avx2,
     &RngBlockAvx2,
     &UniformBlockAvx2,
+    &NormalFastBlockRef,
 };
 
 }  // namespace

@@ -32,6 +32,7 @@ const KernelTable kScalarTable = {
     &MaxF64Ref,
     &RngBlockRef,
     &UniformBlockScalar,
+    &NormalFastBlockRef,
 };
 
 }  // namespace

@@ -282,6 +282,7 @@ const KernelTable kSse4Table = {
     &MaxF64Sse,
     &RngBlockRef,
     &UniformBlockSse,
+    &NormalFastBlockRef,
 };
 
 }  // namespace

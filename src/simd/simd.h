@@ -6,11 +6,14 @@
 
 /// Runtime-dispatched SIMD kernel layer (ROADMAP item 3).
 ///
-/// Three implementations of every kernel — portable scalar, SSE4.2, AVX2 —
-/// are selected ONCE at startup from CPUID (overridable with the MDE_SIMD
-/// environment variable: "scalar", "sse4" or "avx2", clamped to what the
-/// hardware supports). Callers go through the free functions below, which
-/// jump through a per-process dispatch table.
+/// Four tiers of every kernel — portable scalar, SSE4.2, AVX2, AVX-512
+/// (F+VL+DQ) — are selected ONCE at startup from CPUID (overridable with the
+/// MDE_SIMD environment variable: "scalar", "sse4", "avx2" or "avx512",
+/// clamped to what the hardware supports). Callers go through the free
+/// functions below, which jump through a per-process dispatch table. A tier
+/// need not have its own body for every kernel: the AVX-512 tier reuses the
+/// AVX2 bodies except for RngBlock and NormalFastBlock, whose 64-bit
+/// rotate, arithmetic shift and int64->double convert AVX2 lacks.
 ///
 /// The contract that makes this layer safe to drop under the deterministic
 /// execution engine: every kernel produces BITWISE-IDENTICAL output on
@@ -28,10 +31,10 @@
 namespace mde::simd {
 
 /// Dispatch tiers, ordered: higher value = wider vectors.
-enum class Tier : int { kScalar = 0, kSse4 = 1, kAvx2 = 2 };
+enum class Tier : int { kScalar = 0, kSse4 = 1, kAvx2 = 2, kAvx512 = 3 };
 
-/// Lowercase tier name ("scalar" / "sse4" / "avx2") — stable strings used
-/// by MDE_SIMD parsing, the obs gauge and benchmark context.
+/// Lowercase tier name ("scalar" / "sse4" / "avx2" / "avx512") — stable
+/// strings used by MDE_SIMD parsing, the obs gauge and benchmark context.
 const char* TierName(Tier t);
 
 /// The tier the dispatch table currently points at.
@@ -73,6 +76,7 @@ enum class KernelId : int {
   kAffineMapF64,
   kRngBlock,
   kUniformBlock,
+  kNormalFastBlock,
   kNumKernels
 };
 
@@ -194,9 +198,19 @@ void RngBlock(uint64_t* state, uint64_t* raw);
 
 /// raw -> uniforms in [0, 1): out[j] = (raw[j] >> 12) * 2^-52. The 52-bit
 /// mapping keeps the integer->double conversion exact on every tier.
-/// (Normals are not a kernel: BatchRng maps a raw block through the scalar
-/// ziggurat, which is one code path on every tier.)
 void UniformBlock(const uint64_t* raw, double* out);
+
+/// The ziggurat's fast path over one raw block (util/distributions.h
+/// NormalFromBits is the same map for one word). For each word w = raw[j]:
+/// layer i = w & 0xff, k = double(int64(w) >> 11) (exact: |k| <= 2^52),
+/// out[j] = k * x_scaled[i], and bit j of the returned mask is set when the
+/// fast accept fails, !(|out[j]| < x_edge[i]). `x_scaled` and `x_edge` have
+/// 256 entries (the caller passes the ziggurat's x[i] * 2^-52 and x[i+1]).
+/// One multiply and one compare per word, so every tier is bit-identical.
+/// The slow path (wedge, tail) stays with the caller, which runs it for the
+/// set bits in ascending word order.
+uint64_t NormalFastBlock(const uint64_t* raw, const double* x_scaled,
+                         const double* x_edge, double* out);
 
 }  // namespace mde::simd
 

@@ -13,11 +13,15 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "simd/simd.h"
+#include "table/key_index.h"
 #include "util/check.h"
 
 namespace mde::table {
 
 namespace {
+
+using internal::KeyIndex;
+using internal::kNone;
 
 std::atomic<ThreadPool*> g_vec_pool{nullptr};
 
@@ -448,93 +452,6 @@ bool AnyNull(const std::vector<KeyCol>& ks, uint32_t r) {
   return false;
 }
 
-/// An empty slot: no group, no row.
-constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
-
-/// The one key index of hash join, group-by and distinct: open addressing
-/// with linear probing over 64-bit key tags, in a power-of-two slot table
-/// kept at most half full. Each distinct key gets a dense group id in
-/// first-insertion order, with the row that inserted it as the group's
-/// first row. A slot holds the tag beside the group id, so a probe reads one
-/// array and compares rows only on a full tag match. The table doubles when
-/// it would pass half full; there is no allocation per key.
-///
-/// The tag is the key's row hash (ForEachHashedRow). Its home slot is the
-/// low bits of the two halves of its 128-bit product with 2^64/phi, XORed,
-/// so every tag bit reaches the slot: the low bits of a row hash depend
-/// only on the low bits of its cell hashes, which for strings and bools
-/// are weak.
-class KeyIndex {
- public:
-  explicit KeyIndex(size_t expected_keys) {
-    size_t cap = 16;
-    while (cap < 2 * expected_keys) cap *= 2;
-    slots_.assign(cap, Slot{0, kNone});
-    mask_ = cap - 1;
-  }
-
-  size_t num_groups() const { return first_.size(); }
-  /// The first row of each group, in group id (first-insertion) order.
-  const SelVector& first_rows() const { return first_; }
-
-  /// The group of the key tagged `tag` whose first row satisfies
-  /// same(first_row), else a new group with `row` as its first row.
-  template <typename Same>
-  uint32_t FindOrAdd(uint64_t tag, uint32_t row, Same same) {
-    size_t pos = Home(tag);
-    for (;; pos = (pos + 1) & mask_) {
-      const Slot& s = slots_[pos];
-      if (s.group == kNone) break;
-      if (s.tag == tag && same(first_[s.group])) return s.group;
-    }
-    const uint32_t g = static_cast<uint32_t>(first_.size());
-    first_.push_back(row);
-    slots_[pos] = Slot{tag, g};
-    if (2 * first_.size() > slots_.size()) Grow();
-    return g;
-  }
-
-  /// The group of the key tagged `tag` whose first row satisfies
-  /// same(first_row), or kNone. Read-only: probe chunks share the index.
-  template <typename Same>
-  uint32_t Find(uint64_t tag, Same same) const {
-    for (size_t pos = Home(tag);; pos = (pos + 1) & mask_) {
-      const Slot& s = slots_[pos];
-      if (s.group == kNone) return kNone;
-      if (s.tag == tag && same(first_[s.group])) return s.group;
-    }
-  }
-
- private:
-  struct Slot {
-    uint64_t tag;
-    uint32_t group;
-  };
-
-  size_t Home(uint64_t tag) const {
-    const __uint128_t m =
-        static_cast<__uint128_t>(tag) * 0x9e3779b97f4a7c15ULL;
-    return (static_cast<uint64_t>(m) ^ static_cast<uint64_t>(m >> 64)) &
-           mask_;
-  }
-
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(2 * old.size(), Slot{0, kNone});
-    mask_ = slots_.size() - 1;
-    for (const Slot& s : old) {
-      if (s.group == kNone) continue;
-      size_t pos = Home(s.tag);
-      while (slots_[pos].group != kNone) pos = (pos + 1) & mask_;
-      slots_[pos] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  size_t mask_ = 0;
-  SelVector first_;
-};
-
 /// Build rows grouped by key: group g's rows are rows[begin[g]..begin[g+1])
 /// in build order (CSR). `gid[i]` is the group of build row `build[i]`.
 struct GroupRows {
@@ -654,9 +571,10 @@ bool JoinDenseUniqueInt64(const ColumnarBatch& left, const Column& lc,
 }
 
 /// Any key list: KeyIndex tagged by the row key hash, with strict row
-/// equality against each group's first row. Build rows with a null key, or
-/// a key unequal to itself (NaN), can never match and stay out of the index,
-/// so a null left key finds no group (CellEq never equates null and value).
+/// equality against each group's first row. Build rows with a null key can
+/// never match and stay out of the build, so a null left key finds no group
+/// (CellEq never equates null and value); a build key unequal to itself
+/// (NaN) gets a group without a slot, which no probe reaches.
 void JoinGeneral(const ColumnarBatch& left, const std::vector<KeyCol>& lk,
                  const ColumnarBatch& right, const std::vector<KeyCol>& rk,
                  ThreadPool* pool, std::vector<JoinPart>* parts) {
@@ -667,7 +585,7 @@ void JoinGeneral(const ColumnarBatch& left, const std::vector<KeyCol>& lk,
   KeyIndex index(2 * right.size());
   ForEachHashedRow(rk, right, 0, right.size(),
                    [&](size_t, uint32_t r, uint64_t h) {
-                     if (AnyNull(rk, r) || !RowKeyEq(rk, r, rk, r)) return;
+                     if (AnyNull(rk, r)) return;
                      build.push_back(r);
                      gid.push_back(index.FindOrAdd(h, r, [&](uint32_t f) {
                        return RowKeyEq(rk, r, rk, f);

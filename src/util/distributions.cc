@@ -47,10 +47,12 @@ double NormalTail(Rng& rng) {
 
 }  // namespace
 
-double NormalZigguratSlow(size_t layer, double u, double x, Rng& rng) {
+double NormalZigguratSlow(uint64_t bits, double x, Rng& rng) {
+  const size_t layer = bits & 0xff;
   if (layer == 0) {
+    // The sign of u = k * 2^-52, where k is bits 11..63 as a signed integer.
     const double t = NormalTail(rng);
-    return u < 0.0 ? -t : t;
+    return static_cast<int64_t>(bits) < 0 ? -t : t;
   }
   // Wedge: a uniform height in the layer, under the density or redraw.
   const NormalZiggurat& z = NormalZigguratTables();

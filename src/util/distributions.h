@@ -24,8 +24,9 @@ double SampleUniform(Rng& rng, double lo, double hi);
 /// word, a multiply and a compare; the rest take a wedge test (one more
 /// uniform and an exp) or, in layer 0, Marsaglia's exponential tail beyond
 /// R. Stateless: every draw is a pure function of the generator state.
-/// BatchRng::FillNormal runs the same algorithm over its raw blocks
-/// (NormalFromBits below).
+/// BatchRng::FillNormal runs the same algorithm over its raw blocks: the
+/// fast path as the simd::NormalFastBlock kernel, then NormalZigguratSlow
+/// for the words it rejects.
 double SampleStandardNormal(Rng& rng);
 
 /// The ziggurat's layer tables, exposed for their tests. With
@@ -45,17 +46,16 @@ struct NormalZiggurat {
 };
 const NormalZiggurat& NormalZigguratTables();
 
-/// The ziggurat's slow path, for a first attempt in layer `layer` with
-/// signed unit abscissa `u` and x = u * x[layer] that missed the fast
-/// accept: the exponential tail in layer 0, else the wedge test. Further
-/// uniforms come from `rng`; a wedge reject returns a fresh
-/// SampleStandardNormal(rng).
-double NormalZigguratSlow(size_t layer, double u, double x, Rng& rng);
+/// The ziggurat's slow path, for a first attempt word `bits` whose
+/// abscissa x (see NormalFromBits) missed the fast accept: the exponential
+/// tail in layer 0, signed like x, else the wedge test. Further uniforms
+/// come from `rng`; a wedge reject returns a fresh SampleStandardNormal(rng).
+double NormalZigguratSlow(uint64_t bits, double x, Rng& rng);
 
 /// One standard normal whose first ziggurat attempt is the 64-bit word
 /// `bits` (already drawn by the caller): the fast accept inline, anything
 /// else continued on `rng`. SampleStandardNormal is this with
-/// bits = rng.Next(); BatchRng feeds it the words of a raw block.
+/// bits = rng.Next().
 inline double NormalFromBits(const NormalZiggurat& z, uint64_t bits,
                              Rng& rng) {
   const size_t i = bits & 0xff;
@@ -65,7 +65,7 @@ inline double NormalFromBits(const NormalZiggurat& z, uint64_t bits,
   const double k = static_cast<double>(static_cast<int64_t>(bits) >> 11);
   const double x = k * z.x_scaled[i];
   if (std::fabs(x) < z.x[i + 1]) [[likely]] return x;
-  return NormalZigguratSlow(i, k * 0x1p-52, x, rng);
+  return NormalZigguratSlow(bits, x, rng);
 }
 
 /// Normal with the given mean and standard deviation (sigma >= 0).

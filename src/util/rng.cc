@@ -1,5 +1,9 @@
 #include "util/rng.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "util/distributions.h"
 
 namespace mde {
@@ -63,12 +67,17 @@ BatchRng::BatchRng(Rng& seeder) {
   aux_ = Rng(seeder.Next());
 }
 
+void BatchRng::SlowPath(const uint64_t* raw, uint64_t miss, double* out) {
+  for (; miss != 0; miss &= miss - 1) {
+    const int j = std::countr_zero(miss);
+    out[j] = NormalZigguratSlow(raw[j], out[j], aux_);
+  }
+}
+
 void BatchRng::ZigguratBlock(double* out) {
   simd::RngBlock(state_, raw_);
   const NormalZiggurat& z = NormalZigguratTables();
-  for (size_t j = 0; j < simd::kRngBatch; ++j) {
-    out[j] = NormalFromBits(z, raw_[j], aux_);
-  }
+  SlowPath(raw_, simd::NormalFastBlock(raw_, z.x_scaled, z.x + 1, out), out);
 }
 
 void BatchRng::RefillUniform() {
@@ -79,7 +88,17 @@ void BatchRng::RefillUniform() {
 
 void BatchRng::RefillNormal() {
   simd::RngBlock(state_, nraw_);
+  const NormalZiggurat& z = NormalZigguratTables();
+  nmiss_ = simd::NormalFastBlock(nraw_, z.x_scaled, z.x + 1, nfast_);
   npos_ = 0;
+}
+
+void BatchRng::TakeNormals(double* out, size_t m) {
+  std::memcpy(out, nfast_ + npos_, m * sizeof(double));
+  const uint64_t first_m = m == simd::kRngBatch ? ~uint64_t{0}
+                                                : (uint64_t{1} << m) - 1;
+  SlowPath(nraw_ + npos_, (nmiss_ >> npos_) & first_m, out);
+  npos_ += m;
 }
 
 double BatchRng::NextUniform() {
@@ -89,7 +108,9 @@ double BatchRng::NextUniform() {
 
 double BatchRng::NextNormal() {
   if (npos_ == simd::kRngBatch) RefillNormal();
-  return NormalFromBits(NormalZigguratTables(), nraw_[npos_++], aux_);
+  double x;
+  TakeNormals(&x, 1);
+  return x;
 }
 
 void BatchRng::FillUniform(double* out, size_t n) {
@@ -107,18 +128,15 @@ void BatchRng::FillUniform(double* out, size_t n) {
 }
 
 void BatchRng::FillNormal(double* out, size_t n) {
-  const NormalZiggurat& z = NormalZigguratTables();
-  size_t i = 0;
-  while (npos_ < simd::kRngBatch && i < n) {
-    out[i++] = NormalFromBits(z, nraw_[npos_++], aux_);
-  }
+  size_t i = std::min(n, simd::kRngBatch - npos_);
+  if (i > 0) TakeNormals(out, i);
   while (n - i >= simd::kRngBatch) {
     ZigguratBlock(out + i);
     i += simd::kRngBatch;
   }
   if (i < n) {
     RefillNormal();
-    while (i < n) out[i++] = NormalFromBits(z, nraw_[npos_++], aux_);
+    TakeNormals(out + i, n - i);
   }
 }
 

@@ -97,12 +97,14 @@ class Rng {
 /// xoshiro256++ lanes advanced simd::kRngBatch (= 64) draws at a time by
 /// the dispatched RngBlock kernel. A block's raw words become uniforms
 /// (UniformBlock) or standard normals by the ziggurat SampleStandardNormal
-/// uses: raw word j is the first attempt of normal j, accepted on the spot
-/// about 98.5% of the time, and the rest (wedge, tail, restarts) continue
-/// on a private scalar Rng. The ziggurat is one scalar code path, so the
-/// produced stream is a pure function of the seeding Rng and the sequence
-/// of calls — independent of dispatch tier (bitwise, see simd/simd.h) and
-/// of how consumers chunk their Fill requests.
+/// uses: raw word j is the first attempt of normal j. The NormalFastBlock
+/// kernel maps the whole block and marks the words its fast accept
+/// rejected (about 1.5%); those continue (wedge, tail, restarts) on a
+/// private scalar Rng, in ascending word order. Both kernels are bitwise
+/// identical on every dispatch tier (see simd/simd.h), so the produced
+/// stream is a pure function of the seeding Rng and the sequence of calls —
+/// independent of dispatch tier and of how consumers chunk their Fill
+/// requests.
 ///
 /// This is deliberately NOT the same stream as Rng::NextDouble() or the
 /// scalar one-at-a-time samplers; consumers switching to BatchRng change
@@ -133,14 +135,22 @@ class BatchRng {
   void RefillNormal();
   /// The next raw block mapped to 64 normals in out[0..64).
   void ZigguratBlock(double* out);
+  /// Moves the open normal block's next m (<= what is left) normals to out.
+  void TakeNormals(double* out, size_t m);
+  /// For each set bit j of `miss`, ascending: the slow path of raw word
+  /// raw[j], whose fast-path x is in out[j], replaces out[j].
+  void SlowPath(const uint64_t* raw, uint64_t miss, double* out);
 
   alignas(64) uint64_t state_[16];  // lane l word w at state_[w * 4 + l]
   alignas(64) uint64_t raw_[simd::kRngBatch];
   alignas(64) double uni_[simd::kRngBatch];
-  // The open normal block's raw words. Each is mapped to its normal when
-  // consumed, so a Fill that ends mid-block maps no word it does not
-  // return, and aux_ is still drawn in word order.
+  // The open normal block: its raw words, their fast-path values and the
+  // mask of words that missed the fast accept. A missed word's slow path
+  // runs when it is consumed, so aux_ is drawn in word order and a Fill
+  // that ends mid-block draws nothing for words it does not return.
   alignas(64) uint64_t nraw_[simd::kRngBatch];
+  alignas(64) double nfast_[simd::kRngBatch];
+  uint64_t nmiss_ = 0;
   size_t upos_ = simd::kRngBatch;  // buffer drained
   size_t npos_ = simd::kRngBatch;
   Rng aux_;  // the ziggurat's wedge and tail uniforms

@@ -12,6 +12,7 @@
 #include "row_oracle.h"
 #include "table/catalog.h"
 #include "table/columnar.h"
+#include "table/key_index.h"
 #include "table/ops.h"
 #include "table/plan.h"
 #include "table/query.h"
@@ -939,6 +940,30 @@ TEST(KeyIndexTest, NanKeysAreEachTheirOwnGroup) {
   ASSERT_TRUE(ref.ok());
   ASSERT_EQ(ref.value().num_rows(), 1200u + 20u);
   ExpectGroupByAndDistinctMatchOracle(t, "NaN");
+}
+
+TEST(KeyIndexTest, UnequalRowsUnderOneTagGetTwoGroups) {
+  // Every row is offered under one tag, so rows 1 and 2 reach a full tag
+  // match and only the key comparison tells 6 from 5. Rows 3 and 4 are
+  // unequal to themselves: each is a group of its own, and neither takes a
+  // slot, so no probe finds them.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double keys[] = {5.0, 6.0, 5.0, nan, nan, 6.0};
+  internal::KeyIndex index(0);
+  auto offer = [&](uint32_t r) {
+    return index.FindOrAdd(42, r,
+                           [&](uint32_t f) { return keys[r] == keys[f]; });
+  };
+  EXPECT_EQ(offer(0), 0u);
+  EXPECT_EQ(offer(1), 1u);
+  EXPECT_EQ(offer(2), 0u);
+  EXPECT_EQ(offer(3), 2u);
+  EXPECT_EQ(offer(4), 3u);
+  EXPECT_EQ(offer(5), 1u);
+  EXPECT_EQ(index.first_rows(), (SelVector{0, 1, 3, 4}));
+  EXPECT_EQ(index.Find(42, [&](uint32_t f) { return keys[f] == 6.0; }), 1u);
+  EXPECT_EQ(index.Find(42, [&](uint32_t f) { return std::isnan(keys[f]); }),
+            internal::kNone);
 }
 
 // ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ std::vector<Tier> AvailableTiers() {
   const int best = static_cast<int>(simd::BestSupportedTier());
   if (best >= static_cast<int>(Tier::kSse4)) tiers.push_back(Tier::kSse4);
   if (best >= static_cast<int>(Tier::kAvx2)) tiers.push_back(Tier::kAvx2);
+  if (best >= static_cast<int>(Tier::kAvx512)) tiers.push_back(Tier::kAvx512);
   return tiers;
 }
 
@@ -77,8 +78,9 @@ TEST(SimdDispatchTest, TierNamesAndClamping) {
   EXPECT_STREQ(simd::TierName(Tier::kScalar), "scalar");
   EXPECT_STREQ(simd::TierName(Tier::kSse4), "sse4");
   EXPECT_STREQ(simd::TierName(Tier::kAvx2), "avx2");
+  EXPECT_STREQ(simd::TierName(Tier::kAvx512), "avx512");
   // Requesting more than the hardware supports clamps.
-  simd::SetTier(Tier::kAvx2);
+  simd::SetTier(Tier::kAvx512);
   EXPECT_LE(static_cast<int>(simd::ActiveTier()),
             static_cast<int>(simd::BestSupportedTier()));
   simd::SetTier(Tier::kScalar);
@@ -477,6 +479,77 @@ TEST(SimdKernelTest, RngAndVariateBlocksIdenticalAcrossTiers) {
   });
 }
 
+/// The raw word whose ziggurat layer is `layer` and whose signed abscissa
+/// integer (bits 11..63) is k; bits 8..10, which the sampler ignores, are
+/// `pad`.
+uint64_t ZigguratWord(int64_t k, size_t layer, uint64_t pad) {
+  return (static_cast<uint64_t>(k) << 11) | ((pad & 7) << 8) | layer;
+}
+
+TEST(SimdKernelTest, NormalFastBlockMatchesItsDefinitionOnEveryTier) {
+  // Every layer, the extreme abscissas k = -2^52 and 2^52 - 1, zero and
+  // random k, first against the ziggurat's own tables, then against an
+  // edge table built so that |x| lands exactly on the edge (a miss: the
+  // fast accept is strict) for k and -k in every layer.
+  const NormalZiggurat& z = NormalZigguratTables();
+  constexpr int64_t kMin = -(int64_t{1} << 52);
+  constexpr int64_t kMax = (int64_t{1} << 52) - 1;
+  Rng rng(0x2a7);
+  auto random_k = [&] { return static_cast<int64_t>(rng.Next()) >> 11; };
+
+  std::vector<uint64_t> real_words;
+  for (size_t i = 0; i < 256; ++i) {
+    for (int64_t k : {kMin, kMax, int64_t{0}, int64_t{-1}, random_k(),
+                      random_k()}) {
+      real_words.push_back(ZigguratWord(k, i, rng.Next()));
+    }
+  }
+  std::vector<uint64_t> edge_words;
+  std::vector<double> edge(256);
+  for (size_t i = 0; i < 256; ++i) {
+    const int64_t k = random_k();
+    edge[i] = std::fabs(static_cast<double>(k) * z.x_scaled[i]);
+    for (int64_t kk : {k, -k, k - 1, k + 1}) {
+      edge_words.push_back(ZigguratWord(kk, i, rng.Next()));
+    }
+  }
+  ASSERT_EQ(real_words.size() % simd::kRngBatch, 0u);
+  ASSERT_EQ(edge_words.size() % simd::kRngBatch, 0u);
+
+  auto check = [&](const std::vector<uint64_t>& words, const double* x_edge,
+                   bool edge_case) {
+    for (size_t b = 0; b < words.size(); b += simd::kRngBatch) {
+      const uint64_t* raw = words.data() + b;
+      double want[simd::kRngBatch];
+      uint64_t want_miss = 0;
+      for (size_t j = 0; j < simd::kRngBatch; ++j) {
+        const size_t i = raw[j] & 0xff;
+        const double k =
+            static_cast<double>(static_cast<int64_t>(raw[j]) >> 11);
+        want[j] = k * z.x_scaled[i];
+        if (!(std::fabs(want[j]) < x_edge[i])) want_miss |= uint64_t{1} << j;
+        // The words built from k and -k sit exactly on the edge.
+        if (edge_case && j % 4 < 2) {
+          ASSERT_EQ(std::fabs(want[j]), x_edge[i]) << "layer=" << i;
+          ASSERT_TRUE((want_miss >> j) & 1) << "layer=" << i;
+        }
+      }
+      ForEachTier([&](Tier t) {
+        alignas(64) double out[simd::kRngBatch];
+        const uint64_t miss =
+            simd::NormalFastBlock(raw, z.x_scaled, x_edge, out);
+        ASSERT_EQ(miss, want_miss) << simd::TierName(t) << " block=" << b;
+        for (size_t j = 0; j < simd::kRngBatch; ++j) {
+          ASSERT_TRUE(BitEq(out[j], want[j]))
+              << simd::TierName(t) << " block=" << b << " j=" << j;
+        }
+      });
+    }
+  };
+  check(real_words, z.x + 1, false);
+  check(edge_words, edge.data(), true);
+}
+
 TEST(SimdKernelTest, BatchRngStreamInvariantUnderTierAndChunking) {
   constexpr size_t kDraws = 100000;
   simd::SetTier(Tier::kScalar);
@@ -641,6 +714,26 @@ TEST(SimdKernelTest, BatchRngUniformStreamIsPinned) {
       ASSERT_TRUE(BitEq(u[j], static_cast<double>(kGolden[j]) * 0x1p-52))
           << simd::TierName(t) << " j=" << j;
     }
+  });
+}
+
+TEST(SimdKernelTest, BatchRngNormalStreamIsPinned) {
+  // An FNV-1a digest of the first 4133 normals for a fixed seed: 64 whole
+  // blocks and a partial one, 78 of whose words take the slow path. The
+  // tier tests above compare tiers with each other; this pins the stream
+  // itself, so reordering the slow paths or changing the fast-path map
+  // fails it on every tier.
+  ForEachTier([&](Tier t) {
+    Rng seeder(0x60d);
+    BatchRng batch(seeder);
+    std::vector<double> v(4133);
+    batch.FillNormal(v.data(), v.size());
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (double x : v) {
+      h ^= std::bit_cast<uint64_t>(x);
+      h *= 0x100000001b3ULL;
+    }
+    EXPECT_EQ(h, 0x60025516e46bc3f7ULL) << simd::TierName(t);
   });
 }
 

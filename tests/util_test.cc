@@ -118,6 +118,23 @@ TEST(RngTest, SubstreamsDoNotOverlap) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(first.count(s1.Next()), 0u);
 }
 
+TEST(RngTest, SubstreamEqualsRepeatedJumps) {
+  // Substream(seed, i) is the seeded state advanced by i jumps; indices
+  // around powers of two, where a faster Substream would change the number
+  // of steps it composes.
+  constexpr uint64_t kIndices[] = {0,   1,   2,   3,    63,   64,  65,
+                                   127, 128, 129, 1023, 1024, 1025};
+  for (uint64_t seed : {uint64_t{0}, uint64_t{5}, uint64_t{0xdeadbeefcafe}}) {
+    Rng jumped(seed);
+    uint64_t jumps = 0;
+    for (uint64_t i : kIndices) {
+      for (; jumps < i; ++jumps) jumped.Jump();
+      EXPECT_EQ(Rng::Substream(seed, i).state(), jumped.state())
+          << "seed=" << seed << " i=" << i;
+    }
+  }
+}
+
 TEST(DistributionsTest, NormalMoments) {
   Rng rng(11);
   RunningStat stat;

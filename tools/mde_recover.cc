@@ -50,7 +50,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--engine dsgd|mc|simsql|pf|wildfire|all] [--fault-frac F]"
                " [--threads N] [--mode manual|inject|both]"
-               " [--ckpt-tier scalar|sse4|avx2]\n"
+               " [--ckpt-tier scalar|sse4|avx2|avx512]\n"
                "  --ckpt-tier runs the pre-kill half of the manual mode "
                "under the given\n  SIMD tier and the restore+finish under "
                "the session tier, verifying that\n  checkpoints written on "
@@ -304,6 +304,8 @@ int main(int argc, char** argv) {
         ckpt_tier = mde::simd::Tier::kSse4;
       } else if (tier_name == "avx2") {
         ckpt_tier = mde::simd::Tier::kAvx2;
+      } else if (tier_name == "avx512") {
+        ckpt_tier = mde::simd::Tier::kAvx512;
       } else {
         return Usage(argv[0]);
       }
