@@ -224,7 +224,6 @@ void BM_ProfilerOverhead(benchmark::State& state) {
       table::PlanNode::Scan(&t, "t"),
       {{"x", table::CmpOp::kGt, table::Value(50.0)}});
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
   const bool on = state.range(0) != 0;
   if (on && !prof.Start(obs::Profiler::kDefaultHz)) {
     state.SkipWithError("profiler already running");

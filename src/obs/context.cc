@@ -5,9 +5,8 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/thread_slot.h"
 #include "obs/trace.h"
 
 namespace mde::obs {
@@ -80,13 +79,14 @@ void AddChildNs(uint64_t ns) { tls_child_ns += ns; }
 Context Install(const Context& ctx) {
   Context prev = tls_context;
   tls_context = ctx;
-  // Mirror into the flight recorder's per-thread slot so a crash dump can
-  // say which query every thread was serving.
-  FlightRecorder::Global().NoteContext(ctx.trace_id, ctx.fingerprint,
-                                       ctx.tag);
-  // Same mirror for the sampling profiler: its SIGPROF handler reads only
-  // the slot's own atomics, never this TLS.
-  Profiler::Global().NoteContext(ctx.fingerprint, ctx.tag);
+  // Mirror into the thread's obs slot: a crash dump says which query every
+  // thread was serving, and the SIGPROF handler reads the slot's own
+  // atomics, never this TLS.
+  if (ThreadSlot* s = CurrentThreadSlot(); s != nullptr) {
+    s->ctx_trace_id.store(ctx.trace_id, std::memory_order_relaxed);
+    s->ctx_fingerprint.store(ctx.fingerprint, std::memory_order_relaxed);
+    s->ctx_tag.store(ctx.tag, std::memory_order_relaxed);
+  }
   return prev;
 }
 
@@ -153,7 +153,6 @@ QueryScope::QueryScope(const char* tag, uint64_t fingerprint) {
     return;
   }
   EnsureCurrentThreadNamed("driver");
-  Profiler::Global().RegisterCurrentThread();
   Context ctx;
   ctx.trace_id = internal::NextId();
   // Inherit the innermost open span so the query's spans parent correctly

@@ -101,7 +101,7 @@ uint64_t NextId();
 uint64_t ExchangeChildNs(uint64_t v);
 void AddChildNs(uint64_t ns);
 /// Installs `ctx` as the thread's current context (and mirrors it into the
-/// flight recorder's per-thread slot); returns the previous context.
+/// thread's obs slot, obs/thread_slot.h); returns the previous context.
 Context Install(const Context& ctx);
 }  // namespace internal
 

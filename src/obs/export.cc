@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/context.h"
+#include "obs/json.h"
 #include "obs/mem.h"
 #include "obs/trace.h"
 
@@ -53,20 +54,6 @@ std::string RoundTrip(double v) {
   std::ostringstream os;
   os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
   return os.str();
-}
-
-/// JSON string escape for metric names (identifiers in practice, but the
-/// writer must never emit malformed JSON).
-void JsonEscape(const std::string& s, std::ostream& os) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
 }
 
 /// JSON has no Inf/NaN literals; non-finite values serialize as null.
@@ -191,20 +178,6 @@ std::string AttributionText() {
   // One labeled sample per (query, field). Label values: the fingerprint in
   // hex and the entry-point tag; tags are literals like "table.query", but
   // escape anyway per the exposition grammar.
-  const auto escape_label = [](const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '\\' || c == '"') {
-        out.push_back('\\');
-        out.push_back(c);
-      } else if (c == '\n') {
-        out += "\\n";
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  };
   struct Field {
     const char* name;
     uint64_t AttributionTable::Row::*member;
@@ -224,7 +197,7 @@ std::string AttributionText() {
     os << "# TYPE " << f.name << " counter\n";
     for (const AttributionTable::Row& r : rows) {
       os << f.name << "{query=\"" << FingerprintHex(r.fingerprint)
-         << "\",tag=\"" << escape_label(r.tag) << "\"} " << r.*f.member
+         << "\",tag=\"" << EscapeLabelValue(r.tag) << "\"} " << r.*f.member
          << "\n";
     }
   }
@@ -357,6 +330,7 @@ void Sampler::WriteSample(double t_ms) {
   AppendDerivedGauges(&snapshot);
 
   std::ostringstream os;
+  const auto escaped = [&os](char c) { os.put(c); };
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\"t_ms\":" << t_ms;
 
@@ -370,7 +344,7 @@ void Sampler::WriteSample(double t_ms) {
     if (!first) os << ",";
     first = false;
     os << "\"";
-    JsonEscape(m.name, os);
+    JsonEscape(m.name, escaped);
     os << "\":{\"v\":" << static_cast<uint64_t>(m.value)
        << ",\"d\":" << static_cast<uint64_t>(delta < 0.0 ? 0.0 : delta)
        << "}";
@@ -382,7 +356,7 @@ void Sampler::WriteSample(double t_ms) {
     if (!first) os << ",";
     first = false;
     os << "\"";
-    JsonEscape(m.name, os);
+    JsonEscape(m.name, escaped);
     os << "\":";
     JsonNumber(m.value, os);
   }
@@ -393,7 +367,7 @@ void Sampler::WriteSample(double t_ms) {
     if (!first) os << ",";
     first = false;
     os << "\"";
-    JsonEscape(m.name, os);
+    JsonEscape(m.name, escaped);
     os << "\":{\"count\":" << m.count << ",\"sum\":";
     JsonNumber(m.value, os);
     os << ",\"bounds\":[";
@@ -421,7 +395,7 @@ void Sampler::WriteSample(double t_ms) {
       if (!first) os << ",";
       first = false;
       os << "\"" << FingerprintHex(q.fingerprint) << "\":{\"tag\":\"";
-      JsonEscape(q.tag, os);
+      JsonEscape(q.tag, escaped);
       os << "\",\"cpu_ns\":" << q.cpu_ns << ",\"tasks\":" << q.tasks
          << ",\"spans\":" << q.spans << ",\"rows_in\":" << q.rows_in
          << ",\"rows_out\":" << q.rows_out << ",\"vg_draws\":" << q.vg_draws

@@ -4,21 +4,22 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/thread_slot.h"
 #include "obs/trace.h"
 
 namespace mde::obs {
 
 namespace {
 
-/// Raw pointer twin of the Global() singleton: the signal handler must not
-/// touch a function-local static mid-initialization.
-FlightRecorder* g_recorder = nullptr;
 /// Dump destination resolved at handler-install time (getenv is not
 /// async-signal-safe).
 char g_signal_path[512] = "mde_flight.json";
@@ -29,16 +30,6 @@ std::atomic<bool> g_handlers_installed{false};
 /// harness, sanitizer runtime) still runs after the dump.
 constexpr int kMaxSavedSignal = 32;
 struct sigaction g_prev_actions[kMaxSavedSignal];
-
-/// Loops ::write until `len` bytes land (or an error). Async-signal-safe.
-void WriteAll(int fd, const char* buf, size_t len) {
-  size_t off = 0;
-  while (off < len) {
-    const ssize_t w = ::write(fd, buf + off, len - off);
-    if (w <= 0) return;
-    off += static_cast<size_t>(w);
-  }
-}
 
 const char* SignalName(int sig) {
   switch (sig) {
@@ -57,8 +48,7 @@ const char* SignalName(int sig) {
 }
 
 void CrashSignalHandler(int sig) {
-  FlightRecorder* r = g_recorder;
-  if (r != nullptr) r->DumpFromSignal(SignalName(sig));
+  FlightRecorder::DumpFromSignal(SignalName(sig));
   // Chain: restore whatever disposition preceded ours and re-raise. A saved
   // real handler gets the signal next (then presumably dies its own way);
   // SIG_IGN would swallow a fatal re-raise, so it degrades to SIG_DFL —
@@ -100,51 +90,179 @@ void InstallHandlersOnce() {
   }
 }
 
-void JsonEscapeInto(const char* s, std::string* out) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
-    }
+/// Bounded writer for the dump: appends go to a fixed buffer that is
+/// handed to `drain` whenever it fills, so no record, however long its
+/// names, writes past it. Async-signal-safe when `drain` is, which lets the
+/// normal and the signal dump paths format records with the same code.
+class DumpWriter {
+ public:
+  using Drain = void (*)(void* sink, const char* data, size_t len);
+
+  DumpWriter(Drain drain, void* sink) : drain_(drain), sink_(sink) {}
+  ~DumpWriter() { Flush(); }
+
+  DumpWriter(const DumpWriter&) = delete;
+  DumpWriter& operator=(const DumpWriter&) = delete;
+
+  void Put(char c) {
+    if (len_ == sizeof(buf_)) Flush();
+    buf_[len_++] = c;
+  }
+  void Raw(const char* s) {
+    for (; *s != '\0'; ++s) Put(*s);
+  }
+  void Escaped(const char* s) {
+    JsonEscape(s, [this](char c) { Put(c); });
+  }
+  void Num(uint64_t v, int base = 10) {
+    char digits[20];
+    const char* end =
+        std::to_chars(digits, digits + sizeof(digits), v, base).ptr;
+    for (const char* p = digits; p != end; ++p) Put(*p);
+  }
+  void Flush() {
+    if (len_ > 0) drain_(sink_, buf_, len_);
+    len_ = 0;
+  }
+
+ private:
+  Drain drain_;
+  void* sink_;
+  char buf_[512];
+  size_t len_ = 0;
+};
+
+void DrainToString(void* sink, const char* data, size_t len) {
+  static_cast<std::string*>(sink)->append(data, len);
+}
+
+/// Loops ::write until `len` bytes land; false on an error.
+/// Async-signal-safe.
+bool WriteAll(int fd, const char* data, size_t len) {
+  size_t off = 0;
+  while (off < len) {
+    const ssize_t w = ::write(fd, data + off, len - off);
+    if (w <= 0) return false;
+    off += static_cast<size_t>(w);
+  }
+  return true;
+}
+
+void DrainToFd(void* sink, const char* data, size_t len) {
+  WriteAll(*static_cast<const int*>(sink), data, len);
+}
+
+void WriteThread(DumpWriter& w, const internal::ThreadSlot& slot) {
+  w.Raw("{\"thread\":\"");
+  const char* name = slot.name.load(std::memory_order_acquire);
+  if (name != nullptr) {
+    w.Escaped(name);
+  } else {
+    w.Raw("thread-");
+    w.Num(slot.index);
+  }
+  w.Put('"');
+}
+
+/// One span-open record, loaded field by field (see the tearing note in
+/// flight.h).
+struct SpanOpen {
+  const internal::ThreadSlot* slot;
+  const char* name;
+  uint64_t ts_ns, trace_id, span_id, parent_span_id;
+};
+
+/// Calls `fn` on every retained span open of `slot`, oldest first.
+template <typename Fn>
+void ForEachSpanOpen(const internal::ThreadSlot& slot, Fn&& fn) {
+  const uint64_t seq = slot.span_seq.load(std::memory_order_relaxed);
+  const uint64_t count =
+      std::min<uint64_t>(seq, FlightRecorder::kSpanRingSize);
+  for (uint64_t k = seq - count; k < seq; ++k) {
+    const internal::SpanOpenRecord& r =
+        slot.span_ring[k % FlightRecorder::kSpanRingSize];
+    const char* name = r.name.load(std::memory_order_relaxed);
+    if (name == nullptr) continue;
+    fn(SpanOpen{&slot, name, r.ts_ns.load(std::memory_order_relaxed),
+                r.trace_id.load(std::memory_order_relaxed),
+                r.span_id.load(std::memory_order_relaxed),
+                r.parent_span_id.load(std::memory_order_relaxed)});
   }
 }
 
-void AppendU64(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out->append(buf);
+void WriteSpanOpen(DumpWriter& w, const SpanOpen& r, bool first) {
+  if (!first) w.Put(',');
+  WriteThread(w, *r.slot);
+  w.Raw(",\"name\":\"");
+  w.Escaped(r.name);
+  w.Raw("\",\"ts_ns\":");
+  w.Num(r.ts_ns);
+  w.Raw(",\"trace_id\":");
+  w.Num(r.trace_id);
+  w.Raw(",\"span_id\":");
+  w.Num(r.span_id);
+  w.Raw(",\"parent_span_id\":");
+  w.Num(r.parent_span_id);
+  w.Put('}');
 }
 
-void AppendHex(uint64_t v, std::string* out) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
-                static_cast<unsigned long long>(v));
-  out->append(buf);
+/// The `"contexts":[...],"spans":[...]` sections. Spans are in timestamp
+/// order when `sorted`, which allocates; the signal path writes them slot
+/// by slot instead.
+void WriteSlotSections(DumpWriter& w, bool sorted) {
+  const size_t n = ThreadSlotCount();
+  w.Raw("\"contexts\":[");
+  bool first = true;
+  for (size_t i = 0; i < n; ++i) {
+    const internal::ThreadSlot& s = *internal::ThreadSlotAt(i);
+    const uint64_t trace_id = s.ctx_trace_id.load(std::memory_order_relaxed);
+    if (trace_id == 0) continue;
+    if (!first) w.Put(',');
+    first = false;
+    WriteThread(w, s);
+    w.Raw(",\"trace_id\":");
+    w.Num(trace_id);
+    w.Raw(",\"fingerprint\":\"0x");
+    w.Num(s.ctx_fingerprint.load(std::memory_order_relaxed), 16);
+    w.Raw("\",\"tag\":\"");
+    const char* tag = s.ctx_tag.load(std::memory_order_relaxed);
+    if (tag != nullptr) w.Escaped(tag);
+    w.Raw("\"}");
+  }
+  w.Raw("],\"spans\":[");
+  first = true;
+  if (sorted) {
+    std::vector<SpanOpen> recs;
+    for (size_t i = 0; i < n; ++i) {
+      ForEachSpanOpen(*internal::ThreadSlotAt(i),
+                      [&recs](const SpanOpen& r) { recs.push_back(r); });
+    }
+    std::sort(recs.begin(), recs.end(),
+              [](const SpanOpen& a, const SpanOpen& b) {
+                return a.ts_ns < b.ts_ns;
+              });
+    for (const SpanOpen& r : recs) {
+      WriteSpanOpen(w, r, first);
+      first = false;
+    }
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      ForEachSpanOpen(*internal::ThreadSlotAt(i),
+                      [&w, &first](const SpanOpen& r) {
+                        WriteSpanOpen(w, r, first);
+                        first = false;
+                      });
+    }
+  }
+  w.Put(']');
 }
 
 }  // namespace
 
-/// Thread-exit hook: returns the thread's slot to the recorder's free list
-/// so long-lived processes with short-lived pools never exhaust kMaxThreads.
-struct FlightSlotHandle {
-  FlightRecorder* owner = nullptr;
-  FlightRecorder::Slot* slot = nullptr;
-  ~FlightSlotHandle() {
-    if (owner != nullptr && slot != nullptr) owner->ReleaseSlot(slot);
-  }
-};
-
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* r = [] {
-    auto* rec = new FlightRecorder();  // leaked: outlives static destructors
-    g_recorder = rec;
     InstallHandlersOnce();
-    return rec;
+    return new FlightRecorder();  // leaked: outlives static destructors
   }();
   return *r;
 }
@@ -156,51 +274,13 @@ std::string FlightRecorder::DefaultPath() {
   return (env != nullptr && *env != '\0') ? env : "mde_flight.json";
 }
 
-FlightRecorder::Slot* FlightRecorder::SlotForThisThread() {
-  thread_local FlightSlotHandle handle;
-  if (handle.slot == nullptr || handle.owner != this) {
-    uint32_t idx = kMaxThreads;
-    {
-      std::lock_guard<std::mutex> lock(free_mu_);
-      if (!free_slots_.empty()) {
-        idx = free_slots_.back();
-        free_slots_.pop_back();
-      }
-    }
-    if (idx >= kMaxThreads) {
-      if (high_water_.load(std::memory_order_relaxed) >= kMaxThreads) {
-        return nullptr;  // > kMaxThreads live recording threads: not recorded
-      }
-      idx = high_water_.fetch_add(1, std::memory_order_relaxed);
-      if (idx >= kMaxThreads) return nullptr;
-    }
-    handle.owner = this;
-    handle.slot = &slots_[idx];
-  }
-  return handle.slot;
-}
-
-void FlightRecorder::ReleaseSlot(Slot* slot) {
-  // The thread (and its context) is gone; retained spans stay readable.
-  slot->ctx_trace_id.store(0, std::memory_order_relaxed);
-  slot->ctx_fingerprint.store(0, std::memory_order_relaxed);
-  slot->ctx_tag.store(nullptr, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(free_mu_);
-  free_slots_.push_back(static_cast<uint32_t>(slot - slots_));
-}
-
-const char* FlightRecorder::InternName(const std::string& name) {
-  std::lock_guard<std::mutex> lock(intern_mu_);
-  return interned_names_.insert(name).first->c_str();  // set nodes are stable
-}
-
 void FlightRecorder::RecordSpanOpen(const char* name, uint64_t ts_ns,
                                     uint64_t trace_id, uint64_t span_id,
                                     uint64_t parent_span_id) {
-  Slot* s = SlotForThisThread();
+  internal::ThreadSlot* s = internal::CurrentThreadSlot();
   if (s == nullptr) return;
-  const uint64_t i = s->seq.fetch_add(1, std::memory_order_relaxed);
-  SpanRecord& r = s->ring[i % kSpanRingSize];
+  const uint64_t i = s->span_seq.fetch_add(1, std::memory_order_relaxed);
+  internal::SpanOpenRecord& r = s->span_ring[i % kSpanRingSize];
   r.name.store(name, std::memory_order_relaxed);
   r.ts_ns.store(ts_ns, std::memory_order_relaxed);
   r.trace_id.store(trace_id, std::memory_order_relaxed);
@@ -208,136 +288,44 @@ void FlightRecorder::RecordSpanOpen(const char* name, uint64_t ts_ns,
   r.parent_span_id.store(parent_span_id, std::memory_order_relaxed);
 }
 
-void FlightRecorder::NoteContext(uint64_t trace_id, uint64_t fingerprint,
-                                 const char* tag) {
-  Slot* s = SlotForThisThread();
-  if (s == nullptr) return;
-  s->ctx_trace_id.store(trace_id, std::memory_order_relaxed);
-  s->ctx_fingerprint.store(fingerprint, std::memory_order_relaxed);
-  s->ctx_tag.store(tag, std::memory_order_relaxed);
-}
-
-void FlightRecorder::SetCurrentThreadName(const std::string& name) {
-  Slot* s = SlotForThisThread();
-  if (s == nullptr) return;
-  s->name.store(InternName(name), std::memory_order_relaxed);
-}
-
-void FlightRecorder::AppendSlotsJson(std::string* out) const {
-  const uint32_t n = std::min<uint32_t>(
-      high_water_.load(std::memory_order_relaxed), kMaxThreads);
-  out->append("\"contexts\":[");
-  bool first = true;
-  for (uint32_t i = 0; i < n; ++i) {
-    const Slot& s = slots_[i];
-    const uint64_t trace_id = s.ctx_trace_id.load(std::memory_order_relaxed);
-    if (trace_id == 0) continue;
-    if (!first) out->push_back(',');
-    first = false;
-    out->append("{\"thread\":\"");
-    const char* name = s.name.load(std::memory_order_relaxed);
-    if (name != nullptr) {
-      JsonEscapeInto(name, out);
-    } else {
-      out->append("thread-");
-      AppendU64(i, out);
-    }
-    out->append("\",\"trace_id\":");
-    AppendU64(trace_id, out);
-    out->append(",\"fingerprint\":\"");
-    AppendHex(s.ctx_fingerprint.load(std::memory_order_relaxed), out);
-    out->append("\",\"tag\":\"");
-    const char* tag = s.ctx_tag.load(std::memory_order_relaxed);
-    if (tag != nullptr) JsonEscapeInto(tag, out);
-    out->append("\"}");
-  }
-  out->append("],\"spans\":[");
-
-  struct Rec {
-    uint32_t slot;
-    const char* thread_name;
-    const char* name;
-    uint64_t ts_ns, trace_id, span_id, parent_span_id;
-  };
-  std::vector<Rec> recs;
-  for (uint32_t i = 0; i < n; ++i) {
-    const Slot& s = slots_[i];
-    const uint64_t seq = s.seq.load(std::memory_order_relaxed);
-    const uint64_t count = std::min<uint64_t>(seq, kSpanRingSize);
-    for (uint64_t k = seq - count; k < seq; ++k) {
-      const SpanRecord& r = s.ring[k % kSpanRingSize];
-      const char* sname = r.name.load(std::memory_order_relaxed);
-      if (sname == nullptr) continue;
-      recs.push_back({i, s.name.load(std::memory_order_relaxed), sname,
-                      r.ts_ns.load(std::memory_order_relaxed),
-                      r.trace_id.load(std::memory_order_relaxed),
-                      r.span_id.load(std::memory_order_relaxed),
-                      r.parent_span_id.load(std::memory_order_relaxed)});
-    }
-  }
-  std::sort(recs.begin(), recs.end(),
-            [](const Rec& a, const Rec& b) { return a.ts_ns < b.ts_ns; });
-  first = true;
-  for (const Rec& r : recs) {
-    if (!first) out->push_back(',');
-    first = false;
-    out->append("{\"thread\":\"");
-    if (r.thread_name != nullptr) {
-      JsonEscapeInto(r.thread_name, out);
-    } else {
-      out->append("thread-");
-      AppendU64(r.slot, out);
-    }
-    out->append("\",\"name\":\"");
-    JsonEscapeInto(r.name, out);
-    out->append("\",\"ts_ns\":");
-    AppendU64(r.ts_ns, out);
-    out->append(",\"trace_id\":");
-    AppendU64(r.trace_id, out);
-    out->append(",\"span_id\":");
-    AppendU64(r.span_id, out);
-    out->append(",\"parent_span_id\":");
-    AppendU64(r.parent_span_id, out);
-    out->append("}");
-  }
-  out->append("]");
-}
-
 std::string FlightRecorder::RenderJson(const std::string& reason) const {
   std::string doc;
   doc.reserve(1 << 14);
-  doc.append("{\"flight\":{\"version\":1,\"reason\":\"");
-  JsonEscapeInto(reason.c_str(), &doc);
-  doc.append("\",\"ts_ns\":");
-  AppendU64(NowNanos(), &doc);
-  doc.push_back(',');
-  AppendSlotsJson(&doc);
-  doc.append(",\"counters\":{");
-  const std::vector<MetricSnapshot> snapshot = Registry::Global().Snapshot();
-  bool first = true;
-  for (const MetricSnapshot& m : snapshot) {
-    if (m.kind != MetricSnapshot::Kind::kCounter) continue;
-    if (!first) doc.push_back(',');
-    first = false;
-    doc.push_back('"');
-    JsonEscapeInto(m.name.c_str(), &doc);
-    doc.append("\":");
-    AppendU64(static_cast<uint64_t>(m.value), &doc);
+  {
+    DumpWriter w(DrainToString, &doc);
+    w.Raw("{\"flight\":{\"version\":1,\"reason\":\"");
+    w.Escaped(reason.c_str());
+    w.Raw("\",\"ts_ns\":");
+    w.Num(NowNanos());
+    w.Put(',');
+    WriteSlotSections(w, /*sorted=*/true);
+    w.Raw(",\"counters\":{");
+    const std::vector<MetricSnapshot> snapshot = Registry::Global().Snapshot();
+    bool first = true;
+    for (const MetricSnapshot& m : snapshot) {
+      if (m.kind != MetricSnapshot::Kind::kCounter) continue;
+      if (!first) w.Put(',');
+      first = false;
+      w.Put('"');
+      w.Escaped(m.name.c_str());
+      w.Raw("\":");
+      w.Num(static_cast<uint64_t>(m.value));
+    }
+    w.Raw("},\"gauges\":{");
+    first = true;
+    for (const MetricSnapshot& m : snapshot) {
+      if (m.kind != MetricSnapshot::Kind::kGauge) continue;
+      if (!first) w.Put(',');
+      first = false;
+      w.Put('"');
+      w.Escaped(m.name.c_str());
+      w.Raw("\":");
+      char buf[40];
+      std::snprintf(buf, sizeof(buf), "%.17g", m.value);
+      w.Raw(buf);
+    }
+    w.Raw("}}}\n");
   }
-  doc.append("},\"gauges\":{");
-  first = true;
-  for (const MetricSnapshot& m : snapshot) {
-    if (m.kind != MetricSnapshot::Kind::kGauge) continue;
-    if (!first) doc.push_back(',');
-    first = false;
-    doc.push_back('"');
-    JsonEscapeInto(m.name.c_str(), &doc);
-    doc.append("\":");
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", m.value);
-    doc.append(buf);
-  }
-  doc.append("}}}\n");
   return doc;
 }
 
@@ -347,95 +335,37 @@ bool FlightRecorder::DumpToFile(const std::string& path,
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
-  size_t off = 0;
-  while (off < doc.size()) {
-    const ssize_t w = ::write(fd, doc.data() + off, doc.size() - off);
-    if (w <= 0) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    off += static_cast<size_t>(w);
-  }
+  const bool written = WriteAll(fd, doc.data(), doc.size());
   ::close(fd);
+  if (!written) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
   return ::rename(tmp.c_str(), path.c_str()) == 0;
 }
 
 void FlightRecorder::DumpFromSignal(const char* reason) {
-  // Async-signal-safe: fixed buffers, snprintf, open/write/close only. The
-  // mutex-guarded metrics registry is skipped; the artifact still carries
-  // every thread's recent spans and active context.
-  const int fd =
-      ::open(g_signal_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  // Async-signal-safe: a stack buffer drained by write(2), no locks, no
+  // allocation. The mutex-guarded metrics registry is skipped; the artifact
+  // still carries every thread's recent spans and active context.
+  int fd = ::open(g_signal_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return;
-  char buf[512];
-  int len = std::snprintf(buf, sizeof(buf),
-                          "{\"flight\":{\"version\":1,\"reason\":\"%s\","
-                          "\"contexts\":[",
-                          reason);
-  WriteAll(fd, buf, static_cast<size_t>(len));
-  const uint32_t n = std::min<uint32_t>(
-      high_water_.load(std::memory_order_relaxed), kMaxThreads);
-  bool first = true;
-  for (uint32_t i = 0; i < n; ++i) {
-    const Slot& s = slots_[i];
-    const uint64_t trace_id = s.ctx_trace_id.load(std::memory_order_relaxed);
-    if (trace_id == 0) continue;
-    const char* name = s.name.load(std::memory_order_relaxed);
-    const char* tag = s.ctx_tag.load(std::memory_order_relaxed);
-    len = std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"thread\":\"%s\",\"trace_id\":%llu,\"fingerprint\":\"0x%llx\","
-        "\"tag\":\"%s\"}",
-        first ? "" : ",", name != nullptr ? name : "thread",
-        static_cast<unsigned long long>(trace_id),
-        static_cast<unsigned long long>(
-            s.ctx_fingerprint.load(std::memory_order_relaxed)),
-        tag != nullptr ? tag : "");
-    WriteAll(fd, buf, static_cast<size_t>(len));
-    first = false;
+  {
+    DumpWriter w(DrainToFd, &fd);
+    w.Raw("{\"flight\":{\"version\":1,\"reason\":\"");
+    w.Escaped(reason);
+    w.Raw("\",");
+    WriteSlotSections(w, /*sorted=*/false);
+    w.Raw("}}\n");
   }
-  len = std::snprintf(buf, sizeof(buf), "],\"spans\":[");
-  WriteAll(fd, buf, static_cast<size_t>(len));
-  first = true;
-  for (uint32_t i = 0; i < n; ++i) {
-    const Slot& s = slots_[i];
-    const char* tname = s.name.load(std::memory_order_relaxed);
-    const uint64_t seq = s.seq.load(std::memory_order_relaxed);
-    const uint64_t count = std::min<uint64_t>(seq, kSpanRingSize);
-    for (uint64_t k = seq - count; k < seq; ++k) {
-      const SpanRecord& r = s.ring[k % kSpanRingSize];
-      const char* sname = r.name.load(std::memory_order_relaxed);
-      if (sname == nullptr) continue;
-      len = std::snprintf(
-          buf, sizeof(buf),
-          "%s{\"thread\":\"%s\",\"name\":\"%s\",\"ts_ns\":%llu,"
-          "\"trace_id\":%llu,\"span_id\":%llu,\"parent_span_id\":%llu}",
-          first ? "" : ",", tname != nullptr ? tname : "thread", sname,
-          static_cast<unsigned long long>(
-              r.ts_ns.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              r.trace_id.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              r.span_id.load(std::memory_order_relaxed)),
-          static_cast<unsigned long long>(
-              r.parent_span_id.load(std::memory_order_relaxed)));
-      WriteAll(fd, buf, static_cast<size_t>(len));
-      first = false;
-    }
-  }
-  len = std::snprintf(buf, sizeof(buf), "]}}\n");
-  WriteAll(fd, buf, static_cast<size_t>(len));
   ::close(fd);
 }
 
 void FlightRecorder::Reset() {
-  const uint32_t n = std::min<uint32_t>(
-      high_water_.load(std::memory_order_relaxed), kMaxThreads);
-  for (uint32_t i = 0; i < n; ++i) {
-    Slot& s = slots_[i];
-    s.seq.store(0, std::memory_order_relaxed);
-    for (SpanRecord& r : s.ring) {
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    internal::ThreadSlot& s = *internal::ThreadSlotAt(i);
+    s.span_seq.store(0, std::memory_order_relaxed);
+    for (internal::SpanOpenRecord& r : s.span_ring) {
       r.name.store(nullptr, std::memory_order_relaxed);
     }
     s.ctx_trace_id.store(0, std::memory_order_relaxed);

@@ -1,12 +1,9 @@
 #ifndef MDE_OBS_FLIGHT_H_
 #define MDE_OBS_FLIGHT_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <set>
 #include <string>
-#include <vector>
 
 /// Crash flight recorder: an always-on, lock-free ring of recent span opens
 /// plus each thread's active query context, dumped to a JSON artifact when
@@ -16,17 +13,19 @@
 /// the last `kSpanRingSize` span opens per thread at all times and a crash
 /// costs only the dump.
 ///
-/// Write path: each recording thread owns one fixed slot (acquired on first
-/// use, returned to a free list at thread exit) holding relaxed atomics —
-/// no locks, no allocation, safe from any context including inside a signal
-/// handler's victim thread. Span names must be string literals.
+/// Write path: the span-open ring and context mirror live in the recording
+/// thread's obs slot (obs/thread_slot.h), as relaxed atomics. Once the
+/// thread holds its slot, recording takes no lock and allocates nothing, so
+/// it is safe from any context including a signal handler's victim thread.
+/// Span names must be string literals.
 ///
 /// Read path: `DumpToFile` (normal code) snapshots slots + the metrics
 /// registry and writes tmp+rename atomically; `DumpFromSignal` uses only
-/// async-signal-safe calls (snprintf into a stack buffer + write(2) to a
+/// async-signal-safe calls (a fixed stack buffer drained by write(2) to a
 /// path pre-resolved at handler-install time) and skips the mutex-guarded
-/// metrics registry. Either way the artifact is one JSON document
-/// `{"flight":{...}}` readable by `mde_report --flight`.
+/// metrics registry. Both format contexts and spans with one writer, and
+/// either way the artifact is one JSON document `{"flight":{...}}`
+/// readable by `mde_report --flight`.
 ///
 /// Field tearing: a reader can observe a half-updated span record (each
 /// field is individually atomic but the record is not). Post-mortem
@@ -38,10 +37,6 @@ class FlightRecorder {
  public:
   static FlightRecorder& Global();
 
-  /// Maximum concurrently-recording threads; later threads are silently
-  /// not recorded (slots are recycled on thread exit, so only a process
-  /// with > kMaxThreads LIVE recording threads ever hits this).
-  static constexpr size_t kMaxThreads = 256;
   /// Retained span opens per thread (newest win).
   static constexpr size_t kSpanRingSize = 128;
 
@@ -49,13 +44,6 @@ class FlightRecorder {
   /// be a string literal.
   void RecordSpanOpen(const char* name, uint64_t ts_ns, uint64_t trace_id,
                       uint64_t span_id, uint64_t parent_span_id);
-
-  /// Publishes the calling thread's active query context (zero trace_id
-  /// clears it). `tag` must be a string literal or interned.
-  void NoteContext(uint64_t trace_id, uint64_t fingerprint, const char* tag);
-
-  /// Names the calling thread in dump output. Copies (interns) `name`.
-  void SetCurrentThreadName(const std::string& name);
 
   /// Renders the full live artifact `{"flight":{...}}` (contexts + spans +
   /// metrics snapshot) as one JSON document — exactly what DumpToFile
@@ -68,7 +56,7 @@ class FlightRecorder {
 
   /// Async-signal-safe dump (contexts + spans only, no metrics) to the
   /// path captured by InstallCrashHandler — callable from a signal handler.
-  void DumpFromSignal(const char* reason);
+  static void DumpFromSignal(const char* reason);
 
   /// Installs fatal-signal handlers (SEGV/ABRT/BUS/FPE/ILL) that dump to
   /// $MDE_FLIGHT_PATH (default "mde_flight.json") and re-raise. Idempotent.
@@ -81,40 +69,7 @@ class FlightRecorder {
   void Reset();
 
  private:
-  friend struct FlightSlotHandle;
-
-  struct SpanRecord {
-    std::atomic<const char*> name{nullptr};
-    std::atomic<uint64_t> ts_ns{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint64_t> span_id{0};
-    std::atomic<uint64_t> parent_span_id{0};
-  };
-
-  struct Slot {
-    SpanRecord ring[kSpanRingSize];
-    std::atomic<uint64_t> seq{0};  // total opens; next write = seq % size
-    std::atomic<uint64_t> ctx_trace_id{0};
-    std::atomic<uint64_t> ctx_fingerprint{0};
-    std::atomic<const char*> ctx_tag{nullptr};
-    std::atomic<const char*> name{nullptr};  // interned thread name
-  };
-
   FlightRecorder() = default;
-
-  Slot* SlotForThisThread();
-  void ReleaseSlot(Slot* slot);
-  const char* InternName(const std::string& name);
-  /// Renders the slot state (contexts + spans arrays) into `os`-style
-  /// appends on a std::string; shared by the normal dump path.
-  void AppendSlotsJson(std::string* out) const;
-
-  Slot slots_[kMaxThreads];
-  std::atomic<uint32_t> high_water_{0};  // slots ever handed out
-  std::mutex free_mu_;
-  std::vector<uint32_t> free_slots_;
-  std::mutex intern_mu_;
-  std::set<std::string> interned_names_;
 };
 
 }  // namespace mde::obs

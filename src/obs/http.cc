@@ -9,6 +9,7 @@
 #include "obs/context.h"
 #include "obs/export.h"
 #include "obs/flight.h"
+#include "obs/json.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -40,19 +41,6 @@ void HtmlEscapeInto(const std::string& s, std::string* out) {
         break;
       default:
         out->push_back(c);
-    }
-  }
-}
-
-void JsonEscapeInto(const std::string& s, std::string* out) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out->push_back(' ');
-    } else {
-      out->push_back(c);
     }
   }
 }
@@ -325,7 +313,7 @@ std::string RenderQueryzJson() {
     out += "{\"query\":\"";
     out += FingerprintHex(r.fingerprint);
     out += "\",\"tag\":\"";
-    JsonEscapeInto(r.tag, &out);
+    JsonEscape(r.tag, [&out](char c) { out.push_back(c); });
     out += "\",\"cpu_ns\":";
     out += std::to_string(r.cpu_ns);
     out += ",\"tasks\":";

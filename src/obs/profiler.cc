@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "obs/metrics.h"
+#include "obs/thread_slot.h"
 #include "obs/trace.h"
 
 #include <cxxabi.h>
@@ -14,7 +15,6 @@
 #include <execinfo.h>
 #include <pthread.h>
 #include <signal.h>
-#include <sys/syscall.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -24,56 +24,33 @@
 
 namespace mde::obs {
 
-/// One sample as the signal handler writes it: individually-atomic fields,
-/// ts_ns written LAST (release) so windowed readers skip in-progress
-/// records.
-struct SampleRec {
-  std::atomic<uint64_t> ts_ns{0};
-  std::atomic<uint64_t> fingerprint{0};
-  std::atomic<const char*> tag{nullptr};
-  std::atomic<uint32_t> depth{0};
-  std::atomic<uintptr_t> pcs[Profiler::kMaxFrames];
-};
-
-struct Profiler::Slot {
-  // Signal-handler side (owner thread only writes; readers race benignly).
-  SampleRec ring[kRingSize];
-  std::atomic<uint64_t> seq{0};
-  std::atomic<uint64_t> ctx_fp{0};
-  std::atomic<const char*> ctx_tag{nullptr};
-  // Controller side, guarded by Profiler::mu_.
-  pid_t tid = 0;
-  pthread_t pthread{};
-  bool live = false;
-  bool timer_armed = false;
-  timer_t timer{};
-};
-
 namespace {
 
-/// The calling thread's slot; read from the SIGPROF handler, so it is a
-/// plain thread_local pointer set during (normal-context) registration.
-thread_local Profiler::Slot* tls_prof_slot = nullptr;
+using internal::SampleRecord;
+using internal::ThreadSlot;
 
 std::atomic<uint64_t> g_samples_recorded{0};
 std::atomic<uint64_t> g_frames_truncated{0};
-/// Handler gate: timers are deleted under the registry mutex, but a signal
-/// already in flight can land after Stop — it checks this and drops out.
+/// The session: running flag and rate, both written under the slot
+/// registry mutex. The flag doubles as the handler gate: timers are deleted
+/// under that mutex, but a signal already in flight can land after Stop —
+/// it checks this and drops out.
 std::atomic<bool> g_session_active{false};
+int g_hz = Profiler::kDefaultHz;
 
 /// Frames `backtrace` reports above the interrupted PC from inside a signal
 /// handler: the handler itself and the kernel signal trampoline.
 constexpr int kSkipFrames = 2;
 
-pid_t GetTid() { return static_cast<pid_t>(::syscall(SYS_gettid)); }
-
 void ProfSignalHandler(int /*sig*/, siginfo_t* si, void* /*uctx*/) {
   // Only our timers; a stray kill(SIGPROF) must not write garbage frames.
   if (si != nullptr && si->si_code != SI_TIMER) return;
-  Profiler::Slot* s = tls_prof_slot;
+  ThreadSlot* s = internal::HeldThreadSlot();
   if (s == nullptr || !g_session_active.load(std::memory_order_relaxed)) {
     return;
   }
+  SampleRecord* ring = s->samples.load(std::memory_order_acquire);
+  if (ring == nullptr) return;
   const int saved_errno = errno;
   void* frames[Profiler::kMaxFrames + kSkipFrames];
   int n = ::backtrace(frames, Profiler::kMaxFrames + kSkipFrames);
@@ -84,10 +61,10 @@ void ProfSignalHandler(int /*sig*/, siginfo_t* si, void* /*uctx*/) {
                                  std::memory_order_relaxed);
     depth = Profiler::kMaxFrames;
   }
-  const uint64_t i = s->seq.load(std::memory_order_relaxed);
-  SampleRec& r = s->ring[i % Profiler::kRingSize];
+  const uint64_t i = s->sample_seq.load(std::memory_order_relaxed);
+  SampleRecord& r = ring[i % Profiler::kRingSize];
   r.ts_ns.store(0, std::memory_order_relaxed);  // invalidate while writing
-  r.fingerprint.store(s->ctx_fp.load(std::memory_order_relaxed),
+  r.fingerprint.store(s->ctx_fingerprint.load(std::memory_order_relaxed),
                       std::memory_order_relaxed);
   r.tag.store(s->ctx_tag.load(std::memory_order_relaxed),
               std::memory_order_relaxed);
@@ -97,7 +74,7 @@ void ProfSignalHandler(int /*sig*/, siginfo_t* si, void* /*uctx*/) {
   }
   r.depth.store(depth, std::memory_order_relaxed);
   r.ts_ns.store(NowNanos(), std::memory_order_release);
-  s->seq.store(i + 1, std::memory_order_release);
+  s->sample_seq.store(i + 1, std::memory_order_release);
   g_samples_recorded.fetch_add(1, std::memory_order_relaxed);
   errno = saved_errno;
 }
@@ -120,63 +97,18 @@ void InstallProfHandlerOnce() {
 
 }  // namespace
 
-/// Thread-exit hook: disarms the thread's timer and returns the slot (with
-/// its retained samples) for reuse by later threads.
-struct ProfilerThreadHandle {
-  Profiler* owner = nullptr;
-  Profiler::Slot* slot = nullptr;
-  ~ProfilerThreadHandle() {
-    if (owner == nullptr || slot == nullptr) return;
-    tls_prof_slot = nullptr;  // before timer teardown: late signals no-op
-    owner->ReleaseCurrentThreadSlot(slot);
+namespace internal {
+
+bool ArmProfilerTimerLocked(ThreadSlot* slot) {
+  if (slot->timer_armed || !g_session_active.load(std::memory_order_relaxed)) {
+    return slot->timer_armed;
   }
-};
-
-namespace {
-thread_local ProfilerThreadHandle tls_prof_handle;
-}  // namespace
-
-Profiler& Profiler::Global() {
-  static Profiler* p = new Profiler();  // leaked: outlives static dtors
-  return *p;
-}
-
-Profiler::Profiler() = default;
-
-void Profiler::RegisterCurrentThread() {
-  if (tls_prof_slot != nullptr) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  Slot* s = nullptr;
-  if (!free_slots_.empty()) {
-    s = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    if (slots_.size() >= kMaxThreads) return;  // not sampled, by design
-    s = new Slot();  // leaked with the registry; addresses stay valid
-    slots_.push_back(s);
+  // The ring exists before the timer does, so the handler never sees a
+  // timer without one.
+  if (slot->samples.load(std::memory_order_relaxed) == nullptr) {
+    slot->samples.store(new SampleRecord[Profiler::kRingSize](),
+                        std::memory_order_release);  // kept with the slot
   }
-  s->tid = GetTid();
-  s->pthread = pthread_self();
-  s->live = true;
-  s->ctx_fp.store(0, std::memory_order_relaxed);
-  s->ctx_tag.store(nullptr, std::memory_order_relaxed);
-  if (running_) ArmTimerLocked(s, hz_);
-  tls_prof_slot = s;
-  tls_prof_handle.owner = this;
-  tls_prof_handle.slot = s;
-}
-
-void Profiler::ReleaseCurrentThreadSlot(Slot* s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DisarmTimerLocked(s);
-  s->live = false;
-  s->ctx_fp.store(0, std::memory_order_relaxed);
-  s->ctx_tag.store(nullptr, std::memory_order_relaxed);
-  free_slots_.push_back(s);
-}
-
-bool Profiler::ArmTimerLocked(Slot* slot, int hz) {
-  if (slot->timer_armed) return true;
   clockid_t clk;
   if (pthread_getcpuclockid(slot->pthread, &clk) != 0) return false;
   struct sigevent sev;
@@ -185,7 +117,7 @@ bool Profiler::ArmTimerLocked(Slot* slot, int hz) {
   sev.sigev_signo = SIGPROF;
   sev.sigev_notify_thread_id = slot->tid;
   if (timer_create(clk, &sev, &slot->timer) != 0) return false;
-  const long period_ns = 1000000000L / hz;
+  const long period_ns = 1000000000L / g_hz;
   struct itimerspec its;
   its.it_interval.tv_sec = period_ns / 1000000000L;
   its.it_interval.tv_nsec = period_ns % 1000000000L;
@@ -198,48 +130,58 @@ bool Profiler::ArmTimerLocked(Slot* slot, int hz) {
   return true;
 }
 
-void Profiler::DisarmTimerLocked(Slot* slot) {
+void DisarmProfilerTimerLocked(ThreadSlot* slot) {
   if (!slot->timer_armed) return;
   timer_delete(slot->timer);
   slot->timer_armed = false;
 }
 
+}  // namespace internal
+
+Profiler& Profiler::Global() {
+  static Profiler* p = new Profiler();  // leaked: outlives static dtors
+  return *p;
+}
+
 bool Profiler::Start(int hz) {
   InstallProfHandlerOnce();
-  RegisterCurrentThread();
+  internal::CurrentThreadSlot();  // the caller is sampled too
   hz = std::clamp(hz, 1, 1000);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (running_) return false;
-  hz_ = hz;
-  size_t armed = 0;
-  for (Slot* s : slots_) {
-    if (s->live && ArmTimerLocked(s, hz_)) ++armed;
-  }
-  if (armed == 0) return false;  // e.g. sandbox without timer_create
-  running_ = true;
+  std::lock_guard<std::mutex> lock(internal::SlotRegistryMutex());
+  if (g_session_active.load(std::memory_order_relaxed)) return false;
+  g_hz = hz;
   g_session_active.store(true, std::memory_order_relaxed);
+  size_t armed = 0;
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    ThreadSlot* s = internal::ThreadSlotAt(i);
+    if (s->live && internal::ArmProfilerTimerLocked(s)) ++armed;
+  }
+  if (armed == 0) {  // e.g. sandbox without timer_create
+    g_session_active.store(false, std::memory_order_relaxed);
+    return false;
+  }
   MDE_OBS_COUNT("prof.sessions", 1);
-  MDE_OBS_GAUGE_SET("prof.hz", hz_);
+  MDE_OBS_GAUGE_SET("prof.hz", g_hz);
   return true;
 }
 
 void Profiler::Stop() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!running_) return;
+  std::lock_guard<std::mutex> lock(internal::SlotRegistryMutex());
+  if (!g_session_active.load(std::memory_order_relaxed)) return;
   g_session_active.store(false, std::memory_order_relaxed);
-  for (Slot* s : slots_) DisarmTimerLocked(s);
-  running_ = false;
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    internal::DisarmProfilerTimerLocked(internal::ThreadSlotAt(i));
+  }
   MDE_OBS_GAUGE_SET("prof.hz", 0);
 }
 
 bool Profiler::running() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return running_;
+  return g_session_active.load(std::memory_order_relaxed);
 }
 
 int Profiler::hz() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hz_;
+  std::lock_guard<std::mutex> lock(internal::SlotRegistryMutex());
+  return g_hz;
 }
 
 uint64_t Profiler::samples_recorded() const {
@@ -251,12 +193,14 @@ std::vector<Profiler::Sample> Profiler::Collect(uint64_t since_ns,
                                                 uint64_t query_fp) const {
   if (until_ns == 0) until_ns = NowNanos();
   std::vector<Sample> out;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Slot* s : slots_) {
-    const uint64_t seq = s->seq.load(std::memory_order_acquire);
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    const ThreadSlot* s = internal::ThreadSlotAt(i);
+    const SampleRecord* ring = s->samples.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    const uint64_t seq = s->sample_seq.load(std::memory_order_acquire);
     const uint64_t count = std::min<uint64_t>(seq, kRingSize);
     for (uint64_t k = seq - count; k < seq; ++k) {
-      const SampleRec& r = s->ring[k % kRingSize];
+      const SampleRecord& r = ring[k % kRingSize];
       const uint64_t ts = r.ts_ns.load(std::memory_order_acquire);
       if (ts < since_ns || ts >= until_ns) continue;
       const uint64_t fp = r.fingerprint.load(std::memory_order_relaxed);
@@ -391,20 +335,15 @@ std::string Profiler::CaptureFolded(double seconds, uint64_t query_fp,
                 static_cast<double>(t1 - t0) * 1e-9, query_roots);
 }
 
-void Profiler::NoteContext(uint64_t fingerprint, const char* tag) {
-  Slot* s = tls_prof_slot;
-  if (s == nullptr) return;
-  s->ctx_fp.store(fingerprint, std::memory_order_relaxed);
-  s->ctx_tag.store(tag, std::memory_order_relaxed);
-}
-
 void Profiler::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (Slot* s : slots_) {
-    s->seq.store(0, std::memory_order_relaxed);
-    for (SampleRec& r : s->ring) {
-      r.ts_ns.store(0, std::memory_order_relaxed);
-      r.depth.store(0, std::memory_order_relaxed);
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    ThreadSlot* s = internal::ThreadSlotAt(i);
+    SampleRecord* ring = s->samples.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    s->sample_seq.store(0, std::memory_order_relaxed);
+    for (size_t k = 0; k < kRingSize; ++k) {
+      ring[k].ts_ns.store(0, std::memory_order_relaxed);
+      ring[k].depth.store(0, std::memory_order_relaxed);
     }
   }
 }

@@ -1,7 +1,6 @@
 #ifndef MDE_OBS_PROFILER_H_
 #define MDE_OBS_PROFILER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -16,9 +15,9 @@
 /// sample counts are scheduling-invariant. The async-signal-safe handler
 /// captures the stack (`backtrace`, primed at first Start so it cannot
 /// dlopen inside a handler) plus the thread's live query fingerprint/tag
-/// (mirrored into the thread's profiler slot by `obs::internal::Install`,
-/// so the handler never touches foreign TLS) into a per-thread lock-free
-/// ring of recent samples — the same drop-oldest black-box discipline as
+/// (mirrored into the thread's obs slot by `obs::internal::Install`, so the
+/// handler never touches foreign TLS) into the slot's lock-free ring of
+/// recent samples — the same drop-oldest black-box discipline as
 /// the flight recorder. Nothing in the signal path allocates, locks, or
 /// symbolizes.
 ///
@@ -44,10 +43,6 @@ namespace mde::obs {
 
 class Profiler {
  public:
-  /// Per-thread sample ring + timer state. Public only as an opaque type:
-  /// the SIGPROF handler and the thread-exit handle hold `Slot*`.
-  struct Slot;
-
   static Profiler& Global();
 
   /// Deepest stack recorded per sample (frames beyond this are dropped and
@@ -61,18 +56,14 @@ class Profiler {
   /// divisor of millisecond-periodic engine work, so samples cannot phase-
   /// lock to a loop and systematically hit (or miss) the same statement.
   static constexpr int kDefaultHz = 97;
-  /// Maximum concurrently-recording threads; later threads are not sampled.
-  static constexpr size_t kMaxThreads = 256;
-
-  /// Registers the calling thread for sampling (idempotent; one TLS check
-  /// after the first call). Worker threads register on pool entry; driver
-  /// threads register at their first QueryScope; Start registers its
-  /// caller. If a session is running, the thread's timer is armed here.
-  void RegisterCurrentThread();
 
   /// Starts process-wide continuous sampling at `hz` (clamped to
-  /// [1, 1000]). Arms one per-thread CPU timer per registered thread.
-  /// Returns false when already running or when no timer could be created.
+  /// [1, 1000]). Arms one CPU timer per live thread slot
+  /// (obs/thread_slot.h), the caller's included; a thread that takes a
+  /// slot while the session runs is armed then. A slot's sample ring is
+  /// allocated when its timer is first armed, so threads cost no sample
+  /// memory until profiling starts. Returns false when already running or
+  /// when no timer could be created.
   bool Start(int hz = kDefaultHz);
 
   /// Disarms and deletes every timer. Retained samples stay collectable.
@@ -115,28 +106,12 @@ class Profiler {
   std::string CaptureFolded(double seconds, uint64_t query_fp = 0,
                             bool query_roots = false, int hz = kDefaultHz);
 
-  /// Mirrors the calling thread's active query into its profiler slot
-  /// (called by obs::internal::Install next to the flight-recorder mirror;
-  /// no-op for unregistered threads).
-  void NoteContext(uint64_t fingerprint, const char* tag);
-
   /// Drops all retained samples (tests only; timers stay armed).
   void Reset();
 
  private:
-  friend struct ProfilerThreadHandle;
+  Profiler() = default;
 
-  Profiler();
-
-  void ReleaseCurrentThreadSlot(Slot* slot);
-  bool ArmTimerLocked(Slot* slot, int hz);
-  void DisarmTimerLocked(Slot* slot);
-
-  mutable std::mutex mu_;          // slot registry + session state
-  std::vector<Slot*> slots_;       // leaked, stable addresses
-  std::vector<Slot*> free_slots_;  // released by exited threads
-  bool running_ = false;
-  int hz_ = kDefaultHz;
   std::mutex capture_mu_;  // serializes CaptureFolded windows
 };
 

@@ -8,28 +8,14 @@
 
 #include "obs/context.h"
 #include "obs/flight.h"
+#include "obs/json.h"
+#include "obs/thread_slot.h"
 
 namespace mde::obs {
 
 namespace {
 
 thread_local uint32_t tls_span_depth = 0;
-thread_local bool tls_thread_named = false;
-
-/// Minimal JSON string escape (span names are identifiers in practice, but
-/// the exporter must never emit malformed JSON).
-void EscapeJson(const char* s, std::ostream& os) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
 
 }  // namespace
 
@@ -40,80 +26,47 @@ uint64_t NowNanos() {
           .count());
 }
 
-/// Per-thread event ring. Owned by the Tracer (threads may exit before the
-/// trace is exported); the owning thread holds only a raw pointer. The ring
-/// drops the OLDEST events on overflow, so the retained window is the tail
-/// of the run. `mu` serializes the owner's appends with Collect/Clear —
-/// uncontended in steady state, and spans are operator-granularity, so the
-/// lock cost is noise.
-struct Tracer::ThreadBuffer {
-  std::mutex mu;
-  std::vector<TraceEvent> ring;  // allocated lazily on first event
-  size_t head = 0;               // index of the oldest retained event
-  size_t count = 0;              // retained events (<= kRingCapacity)
-  uint32_t tid = 0;
-  std::string name;  // lane name for Chrome metadata ("" = unnamed)
-};
-
 Tracer& Tracer::Global() {
   static Tracer* t = new Tracer();  // leaked: outlives static destructors
   return *t;
 }
 
-Tracer::ThreadBuffer* Tracer::BufferForThisThread() {
-  thread_local ThreadBuffer* buf = nullptr;
-  thread_local const Tracer* owner = nullptr;
-  if (buf == nullptr || owner != this) {
-    auto owned = std::make_unique<ThreadBuffer>();
-    std::lock_guard<std::mutex> lock(mu_);
-    owned->tid = static_cast<uint32_t>(buffers_.size());
-    buf = owned.get();
-    owner = this;
-    buffers_.push_back(std::move(owned));
-  }
-  return buf;
-}
-
 void Tracer::Record(const char* name, uint64_t ts_ns, uint64_t dur_ns,
                     uint32_t depth, uint64_t trace_id, uint64_t span_id,
                     uint64_t parent_span_id) {
-  ThreadBuffer* buf = BufferForThisThread();
+  internal::ThreadSlot* s = internal::CurrentThreadSlot();
+  if (s == nullptr) return;
   recorded_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(buf->mu);
-  if (buf->ring.empty()) buf->ring.resize(kRingCapacity);
-  TraceEvent& e = buf->ring[(buf->head + buf->count) % kRingCapacity];
+  // The owner's appends and Collect/Clear meet on the slot's mutex:
+  // uncontended in steady state, and spans are operator-granularity.
+  std::lock_guard<std::mutex> lock(s->trace_mu);
+  if (s->trace_ring.empty()) s->trace_ring.resize(kRingCapacity);
+  TraceEvent& e =
+      s->trace_ring[(s->trace_head + s->trace_count) % kRingCapacity];
   e.name = name;
   e.ts_ns = ts_ns;
   e.dur_ns = dur_ns;
   e.trace_id = trace_id;
   e.span_id = span_id;
   e.parent_span_id = parent_span_id;
-  e.tid = buf->tid;
+  e.tid = s->index;
   e.depth = depth;
-  if (buf->count < kRingCapacity) {
-    ++buf->count;
+  if (s->trace_count < kRingCapacity) {
+    ++s->trace_count;
   } else {
-    buf->head = (buf->head + 1) % kRingCapacity;  // evict the oldest
+    s->trace_head = (s->trace_head + 1) % kRingCapacity;  // evict the oldest
     dropped_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void Tracer::SetCurrentThreadName(const std::string& name) {
-  ThreadBuffer* buf = BufferForThisThread();
-  std::lock_guard<std::mutex> lock(buf->mu);
-  buf->name = name;
-}
-
 std::vector<TraceEvent> Tracer::Collect() const {
   std::vector<TraceEvent> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& b : buffers_) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      out.reserve(out.size() + b->count);
-      for (size_t i = 0; i < b->count; ++i) {
-        out.push_back(b->ring[(b->head + i) % kRingCapacity]);
-      }
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    internal::ThreadSlot& s = *internal::ThreadSlotAt(i);
+    std::lock_guard<std::mutex> lock(s.trace_mu);
+    out.reserve(out.size() + s.trace_count);
+    for (size_t k = 0; k < s.trace_count; ++k) {
+      out.push_back(s.trace_ring[(s.trace_head + k) % kRingCapacity]);
     }
   }
   // Start-time order; ties broken shallow-first so a parent precedes a
@@ -128,11 +81,11 @@ std::vector<TraceEvent> Tracer::Collect() const {
 }
 
 void Tracer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& b : buffers_) {
-    std::lock_guard<std::mutex> bl(b->mu);
-    b->head = 0;
-    b->count = 0;
+  for (size_t i = 0, n = ThreadSlotCount(); i < n; ++i) {
+    internal::ThreadSlot& s = *internal::ThreadSlotAt(i);
+    std::lock_guard<std::mutex> lock(s.trace_mu);
+    s.trace_head = 0;
+    s.trace_count = 0;
   }
   recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
@@ -140,30 +93,24 @@ void Tracer::Clear() {
 
 void Tracer::WriteChromeTrace(std::ostream& os) const {
   const std::vector<TraceEvent> events = Collect();
-  // Thread lane names for "ph":"M" metadata (every registered buffer, even
-  // ones with no retained events — a named idle worker still gets a lane).
-  std::vector<std::pair<uint32_t, std::string>> lanes;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    lanes.reserve(buffers_.size());
-    for (const auto& b : buffers_) {
-      std::lock_guard<std::mutex> bl(b->mu);
-      lanes.emplace_back(b->tid, b->name);
-    }
-  }
+  const auto escaped = [&os](char c) { os.put(c); };
   uint64_t t0 = events.empty() ? 0 : events.front().ts_ns;
   os << "{\"traceEvents\":[";
   // Metadata first: process name, then one thread_name record per lane so
   // Perfetto labels rows "worker-3" instead of bare tids.
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
         "\"args\":{\"name\":\"mde\"}}";
-  for (const auto& [tid, name] : lanes) {
+  // Every slot gets a lane, even one with no retained events: a named idle
+  // worker still shows up.
+  for (size_t tid = 0, n = ThreadSlotCount(); tid < n; ++tid) {
     os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << tid
        << ",\"args\":{\"name\":\"";
-    if (name.empty()) {
+    const char* name =
+        internal::ThreadSlotAt(tid)->name.load(std::memory_order_acquire);
+    if (name == nullptr) {
       os << "thread-" << tid;
     } else {
-      EscapeJson(name.c_str(), os);
+      JsonEscape(name, escaped);
     }
     os << "\"}}";
   }
@@ -171,7 +118,7 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
   // causal chain.
   for (const TraceEvent& e : events) {
     os << ",{\"name\":\"";
-    EscapeJson(e.name, os);
+    JsonEscape(e.name, escaped);
     os << "\",\"cat\":\"mde\",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.tid
        << ",\"ts\":" << static_cast<double>(e.ts_ns - t0) / 1000.0
        << ",\"dur\":" << static_cast<double>(e.dur_ns) / 1000.0;
@@ -293,17 +240,6 @@ SpanGuard::~SpanGuard() {
     Tracer::Global().Record(name_, start_ns_, NowNanos() - start_ns_, depth_,
                             trace_id_, span_id_, parent_span_id_);
   }
-}
-
-void SetCurrentThreadName(const std::string& name) {
-  tls_thread_named = true;
-  Tracer::Global().SetCurrentThreadName(name);
-  FlightRecorder::Global().SetCurrentThreadName(name);
-}
-
-void EnsureCurrentThreadNamed(const char* fallback) {
-  if (tls_thread_named) return;
-  SetCurrentThreadName(fallback);
 }
 
 }  // namespace mde::obs

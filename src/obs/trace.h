@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -19,7 +17,7 @@
 /// Cost model: tracing is globally OFF by default — a span on a disabled
 /// tracer is one relaxed atomic load and a branch. When enabled, a span is
 /// two steady_clock reads plus one short critical section on a mutex owned
-/// by the recording thread's buffer (spans wrap operator-granularity work,
+/// by the recording thread's slot (spans wrap operator-granularity work,
 /// micro- to milliseconds, so this never shows up in profiles). Ring
 /// buffers keep the NEWEST events: a long benchmark run retains its final
 /// iteration(s), which is exactly what --mde_trace_out wants. Span names
@@ -29,8 +27,8 @@
 /// only; enabling tracing cannot change any engine output.
 namespace mde::obs {
 
-/// A completed span. `ts_ns`/`dur_ns` come from steady_clock; `tid` is a
-/// small sequential id assigned per recording thread; `depth` is the
+/// A completed span. `ts_ns`/`dur_ns` come from steady_clock; `tid` is the
+/// recording thread's slot index (obs/thread_slot.h); `depth` is the
 /// span-nesting depth on that thread at open time (0 = top level).
 /// `trace_id` groups all spans of one query (0 = outside any query);
 /// `span_id`/`parent_span_id` form the causal tree — the parent may live on
@@ -66,10 +64,6 @@ class Tracer {
               uint32_t depth, uint64_t trace_id = 0, uint64_t span_id = 0,
               uint64_t parent_span_id = 0);
 
-  /// Names the calling thread's lane in Chrome trace output ("worker-3",
-  /// "driver"); copies `name`. Unnamed threads render as "thread-<tid>".
-  void SetCurrentThreadName(const std::string& name);
-
   /// Drains a copy of every thread's retained events, oldest-first within a
   /// thread, sorted globally by start time. Includes events recorded by
   /// threads that have since exited.
@@ -79,13 +73,14 @@ class Tracer {
   uint64_t recorded() const { return recorded_.load(std::memory_order_relaxed); }
   uint64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
-  /// Discards all retained events (buffers stay registered).
+  /// Discards all retained events (rings stay allocated).
   void Clear();
 
   /// Chrome trace-event JSON: {"traceEvents":[...]} with complete ("ph":
   /// "X") events, timestamps in microseconds relative to the earliest
   /// retained event. Leads with "ph":"M" metadata naming the process and
-  /// every recording thread's lane; spans carry trace/span ids in "args",
+  /// one lane per thread slot (obs/thread_slot.h; unnamed slots render as
+  /// "thread-<tid>"); spans carry trace/span ids in "args",
   /// and cross-thread parent->child edges emit flow events ("ph":"s"/"f")
   /// so Perfetto draws arrows across stolen tasks.
   std::string ChromeTraceJson() const;
@@ -97,16 +92,11 @@ class Tracer {
   std::string FlameSummary() const;
 
  private:
-  struct ThreadBuffer;
-
   Tracer() = default;
-  ThreadBuffer* BufferForThisThread();
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
-  mutable std::mutex mu_;  // guards buffers_ registration and collection
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
 };
 
 /// RAII span. Open/close cost when the tracer is disabled AND no query
@@ -134,12 +124,12 @@ class SpanGuard {
 };
 
 /// Names the calling thread everywhere it appears: Chrome trace lanes and
-/// flight-recorder dumps. Copies `name`; call once per thread (workers call
+/// flight-recorder dumps. Interns `name`; call once per thread (workers call
 /// it on start; the first QueryScope on an unnamed thread applies
 /// "driver").
 void SetCurrentThreadName(const std::string& name);
 /// SetCurrentThreadName(fallback) if this thread was never named (cheap:
-/// one thread-local check).
+/// one read of the thread's slot).
 void EnsureCurrentThreadNamed(const char* fallback);
 
 }  // namespace mde::obs

@@ -6,7 +6,6 @@
 #include "obs/context.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "util/check.h"
 
@@ -179,9 +178,6 @@ void ThreadPool::WorkerLoop(size_t index) {
   tls_pool = this;
   tls_worker = index;
   obs::SetCurrentThreadName("worker-" + std::to_string(index));
-  // Register with the sampling profiler so a running (or later-started)
-  // session arms a per-thread CPU timer for this worker.
-  obs::Profiler::Global().RegisterCurrentThread();
   std::function<void()> task;
   while (true) {
     if (TryGetTask(index, &task)) {

@@ -591,6 +591,47 @@ TEST(ObsContextTest, FlightDumpParsesViaReport) {
   std::remove(path.c_str());
 }
 
+TEST(ObsContextTest, FlightContextsAndSpansGolden) {
+  obs::FlightRecorder& rec = obs::FlightRecorder::Global();
+  rec.Reset();
+  obs::SetCurrentThreadName("golden-driver");
+  obs::Context ctx;
+  ctx.trace_id = 7001;
+  ctx.fingerprint = 0xabcdefu;
+  ctx.tag = "golden.\"tag\"";
+  const obs::Context prev = obs::internal::Install(ctx);
+  rec.RecordSpanOpen("golden.b", 2000, 7001, 12, 11);
+  rec.RecordSpanOpen("golden.a", 1000, 7001, 11, 0);
+  // A second, exited thread: its context is cleared at exit, its spans stay
+  // and interleave with ours by timestamp.
+  std::thread([&rec] {
+    obs::SetCurrentThreadName("golden-\"worker\"\\");
+    rec.RecordSpanOpen("golden.w", 1500, 7001, 13, 11);
+    rec.RecordSpanOpen("golden.\"q\"", 2500, 0, 14, 0);
+  }).join();
+  const std::string doc = rec.RenderJson("golden");
+  obs::internal::Install(prev);
+  obs::SetCurrentThreadName("driver");
+  rec.Reset();
+  const size_t begin = doc.find("\"contexts\":");
+  const size_t end = doc.find(",\"counters\":");
+  ASSERT_NE(begin, std::string::npos);
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_EQ(
+      doc.substr(begin, end - begin),
+      "\"contexts\":[{\"thread\":\"golden-driver\",\"trace_id\":7001,"
+      "\"fingerprint\":\"0xabcdef\",\"tag\":\"golden.\\\"tag\\\"\"}],"
+      "\"spans\":["
+      "{\"thread\":\"golden-driver\",\"name\":\"golden.a\",\"ts_ns\":1000,"
+      "\"trace_id\":7001,\"span_id\":11,\"parent_span_id\":0},"
+      "{\"thread\":\"golden-\\\"worker\\\"\\\\\",\"name\":\"golden.w\","
+      "\"ts_ns\":1500,\"trace_id\":7001,\"span_id\":13,\"parent_span_id\":11},"
+      "{\"thread\":\"golden-driver\",\"name\":\"golden.b\",\"ts_ns\":2000,"
+      "\"trace_id\":7001,\"span_id\":12,\"parent_span_id\":11},"
+      "{\"thread\":\"golden-\\\"worker\\\"\\\\\",\"name\":\"golden.\\\"q\\\"\","
+      "\"ts_ns\":2500,\"trace_id\":0,\"span_id\":14,\"parent_span_id\":0}]");
+}
+
 TEST(ObsContextTest, FaultInjectedCrashLeavesParseableDump) {
   const std::string path = ::testing::TempDir() + "/obs_ctx_fault_flight.json";
   std::remove(path.c_str());

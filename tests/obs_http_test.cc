@@ -9,11 +9,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -28,6 +30,7 @@
 #include "obs/http.h"
 #include "obs/profiler.h"
 #include "obs/report.h"
+#include "obs/thread_slot.h"
 #include "obs/trace.h"
 #include "util/distributions.h"
 #include "util/thread_pool.h"
@@ -62,21 +65,28 @@ void SpinCpu(double seconds) {
   }
 }
 
-/// Minimal blocking HTTP/1.1 GET against the loopback diagnostics server.
-/// Returns the body; status code goes to `*status_out` (0 on socket
-/// failure).
-std::string HttpGet(int port, const std::string& target, int* status_out) {
-  *status_out = 0;
+/// A blocking socket connected to the loopback diagnostics server, or -1.
+int ConnectLoopback(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+/// Minimal blocking HTTP/1.1 GET against the loopback diagnostics server.
+/// Returns the body; status code goes to `*status_out` (0 on socket
+/// failure).
+std::string HttpGet(int port, const std::string& target, int* status_out) {
+  *status_out = 0;
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return "";
   const std::string req = "GET " + target +
                           " HTTP/1.1\r\nHost: 127.0.0.1\r\n"
                           "Connection: close\r\n\r\n";
@@ -101,6 +111,38 @@ std::string HttpGet(int port, const std::string& target, int* status_out) {
   *status_out = std::atoi(raw.c_str() + 9);
   const size_t hdr_end = raw.find("\r\n\r\n");
   return hdr_end == std::string::npos ? "" : raw.substr(hdr_end + 4);
+}
+
+/// Sends `request` verbatim, half-closes the socket and reads the reply.
+/// Returns the HTTP status, 0 when the server closed the connection without
+/// one, or -1 when nothing arrived within 10 s (a hung handler).
+int RawExchange(int port, const std::string& request) {
+  const int fd = ConnectLoopback(port);
+  if (fd < 0) return 0;
+  timeval timeout = {10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  size_t sent = 0;
+  while (sent < request.size()) {
+    // The server may answer and close before it has read everything.
+    const ssize_t n = ::send(fd, request.data() + sent, request.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) break;
+    sent += static_cast<size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);
+  std::string raw;
+  char buf[4096];
+  bool timed_out = false;
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) timed_out = true;
+    if (n <= 0) break;
+    raw.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  if (timed_out) return -1;
+  if (raw.compare(0, 9, "HTTP/1.1 ") != 0) return 0;
+  return std::atoi(raw.c_str() + 9);
 }
 
 /// The paper's SBP stochastic table (same shape as the mcdb tests): a real
@@ -227,6 +269,53 @@ TEST(ObsFatalChainTest, CrashWithDefaultDispositionDiesBySignal) {
   std::remove(path.c_str());
 }
 
+TEST(ObsFatalChainTest, SignalDumpEscapesAndBoundsHostileNames) {
+  const std::string path =
+      ::testing::TempDir() + "/obs_http_hostile_flight.json";
+  std::remove(path.c_str());
+  // Longer than the dump's stack buffer, with characters JSON must escape.
+  const std::string long_name(700, 'n');
+  const std::string thread_name = "a\"b\\" + long_name;
+  static const std::string span_name = "span\"" + long_name;
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    ::setenv("MDE_FLIGHT_PATH", path.c_str(), 1);
+    obs::FlightRecorder& rec = obs::FlightRecorder::Global();
+    obs::SetCurrentThreadName(thread_name);
+    obs::Context ctx;
+    ctx.trace_id = 77;
+    ctx.fingerprint = 0x5eedu;
+    ctx.tag = "tag\"with\\quotes";
+    obs::internal::Install(ctx);
+    rec.RecordSpanOpen(span_name.c_str(), 1, 77, 2, 0);
+    std::thread([&rec] {
+      obs::SetCurrentThreadName("tab\there");
+      rec.RecordSpanOpen("\"w\"", 2, 77, 3, 2);
+    }).join();
+    obs::FlightRecorder::DumpFromSignal("signal:test \"hostile\"");
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "child crashed while dumping";
+
+  const std::string json = ReadFile(path);
+  std::string report;
+  std::string error;
+  ASSERT_TRUE(obs::RenderFlightReport(json, obs::RunReportOptions{}, &report,
+                                      &error))
+      << error << "\n" << json;
+  EXPECT_NE(report.find("signal:test \"hostile\""), std::string::npos);
+  EXPECT_NE(report.find(thread_name), std::string::npos);
+  EXPECT_NE(report.find(span_name), std::string::npos);
+  EXPECT_NE(report.find("tag\"with\\quotes"), std::string::npos);
+  EXPECT_NE(report.find("tab here"), std::string::npos);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Diagnostics server.
 // ---------------------------------------------------------------------------
@@ -320,6 +409,53 @@ TEST(DiagServerTest, ServesEndpointsWhileEngineRunsEightThreads) {
 
   stop.store(true, std::memory_order_relaxed);
   for (auto& w : workers) w.join();
+  server.Stop();
+}
+
+TEST(DiagServerTest, HostileRequestHeadsGetClientErrorsOrClose) {
+  obs::DiagServer server;
+  ASSERT_TRUE(server.Start(0));
+  const int port = server.port();
+
+  const std::string base =
+      "GET /no-such-page?x=%41 HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  std::vector<std::string> heads = {
+      "",                                // connect and hang up
+      "GET /no-such-page HTTP/1.1\n\n",  // no CR
+      "GET /no-such-page HTTP/1.1",      // no line end at all
+      std::string("GET /a\0b HTTP/1.1\r\n\r\n", 22),
+      std::string("\0\0\0\0\r\n\r\n", 8),
+      "GET /" + std::string(20000, 'a') + " HTTP/1.1\r\n\r\n",  // > 16 KiB
+      std::string(17000, 'x'),
+      "GET /x% HTTP/1.1\r\n\r\n",
+      "GET /x%4 HTTP/1.1\r\n\r\n",
+      "GET /x%zz HTTP/1.1\r\n\r\n",
+      "GET /x%-1 HTTP/1.1\r\n\r\n",
+      "GET /x?seconds=% HTTP/1.1\r\n\r\n",
+      "GET\r\n\r\n",
+      "GET  HTTP/1.1\r\n\r\n",
+      " \r\n\r\n",
+  };
+  std::mt19937 rng(20250);  // seeded, so a failing head replays
+  for (int i = 0; i < 64; ++i) {
+    heads.push_back(base.substr(0, rng() % base.size()));
+  }
+  for (int i = 0; i < 200; ++i) {
+    std::string head = base;
+    for (uint32_t f = 0, flips = 1 + rng() % 3; f < flips; ++f) {
+      head[rng() % head.size()] ^= static_cast<char>(1u << (rng() % 8));
+    }
+    heads.push_back(head);
+  }
+  for (size_t i = 0; i < heads.size(); ++i) {
+    const int status = RawExchange(port, heads[i]);
+    EXPECT_TRUE(status == 0 || status == 400 || status == 404)
+        << "head #" << i << " answered " << status;
+  }
+
+  int status = 0;
+  EXPECT_EQ(HttpGet(port, "/healthz", &status), "ok\n");
+  EXPECT_EQ(status, 200);
   server.Stop();
 }
 
@@ -449,12 +585,107 @@ TEST(DiagServerTest, ThrottledReaderReceivesFullLargeBody) {
 }
 
 // ---------------------------------------------------------------------------
+// Thread slots: recycled across thread lifetimes, readable while threads
+// exit.
+// ---------------------------------------------------------------------------
+
+TEST(ObsThreadSlotTest, SequentialThreadsRecycleSlots) {
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::Profiler& prof = obs::Profiler::Global();
+  tracer.Clear();
+  tracer.Enable();
+  ASSERT_TRUE(prof.Start(obs::Profiler::kDefaultHz));
+  const size_t slots_before = obs::ThreadSlotCount();
+  for (int i = 0; i < 1000; ++i) {
+    std::thread([i] {
+      obs::SetCurrentThreadName("recycled-" + std::to_string(i));
+      obs::QueryScope scope("test.recycle", 0x5107u);
+      MDE_TRACE_SPAN("test.recycled_span");
+    }).join();
+  }
+  prof.Stop();
+  const std::string trace = tracer.ChromeTraceJson();
+  const std::string flight =
+      obs::FlightRecorder::Global().RenderJson("test.recycle");
+  tracer.Disable();
+  tracer.Clear();
+
+  // One thread at a time, so each takes the slot the last one returned.
+  EXPECT_LE(obs::ThreadSlotCount(), slots_before + 1);
+  size_t lanes = 0;
+  for (size_t pos = 0;
+       (pos = trace.find("\"thread_name\"", pos)) != std::string::npos;
+       ++pos) {
+    ++lanes;
+  }
+  EXPECT_LE(lanes, obs::kMaxThreads);
+  // Retained records show under the name of the slot's latest holder.
+  EXPECT_NE(trace.find("recycled-999"), std::string::npos);
+  EXPECT_EQ(trace.find("recycled-998"), std::string::npos);
+  EXPECT_NE(flight.find("{\"thread\":\"recycled-999\",\"name\":"
+                        "\"test.recycled_span\""),
+            std::string::npos);
+}
+
+TEST(ObsThreadSlotTest, ThreadsExitWhileReadersScanSlots) {
+  obs::DiagServer server;
+  ASSERT_TRUE(server.Start(0));
+  const int port = server.port();
+  obs::Tracer& tracer = obs::Tracer::Global();
+  obs::Profiler& prof = obs::Profiler::Global();
+  tracer.Enable();
+  ASSERT_TRUE(prof.Start(250));
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  readers.emplace_back([&stop, port] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      int status = 0;
+      const std::string body = HttpGet(port, "/flightz", &status);
+      EXPECT_EQ(status, 200);
+      EXPECT_NE(body.find("\"spans\""), std::string::npos);
+    }
+  });
+  readers.emplace_back([&stop, &tracer] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      tracer.Collect();
+      EXPECT_NE(tracer.ChromeTraceJson().find("\"traceEvents\""),
+                std::string::npos);
+    }
+  });
+  readers.emplace_back([&stop, &prof] {
+    while (!stop.load(std::memory_order_relaxed)) prof.Collect(0, 0);
+  });
+
+  std::vector<std::thread> spawners;
+  for (int t = 0; t < 4; ++t) {
+    spawners.emplace_back([t] {
+      for (int i = 0; i < 100; ++i) {
+        std::thread([t] {
+          obs::SetCurrentThreadName("churn-" + std::to_string(t));
+          obs::QueryScope scope("test.churn", 0xC400u + t);
+          MDE_TRACE_SPAN("test.churn_span");
+          SpinCpu(0.0005);
+        }).join();
+      }
+    });
+  }
+  for (auto& s : spawners) s.join();
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& r : readers) r.join();
+  prof.Stop();
+  tracer.Disable();
+  tracer.Clear();
+  server.Stop();
+  EXPECT_LE(obs::ThreadSlotCount(), obs::kMaxThreads);
+}
+
+// ---------------------------------------------------------------------------
 // Profiler: scaling, filtering, folded format, determinism.
 // ---------------------------------------------------------------------------
 
 TEST(ProfilerTest, StartStopIdempotentAndRegistered) {
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
   ASSERT_TRUE(prof.Start(250));
   EXPECT_TRUE(prof.running());
   EXPECT_EQ(prof.hz(), 250);
@@ -466,7 +697,6 @@ TEST(ProfilerTest, StartStopIdempotentAndRegistered) {
 
 TEST(ProfilerTest, SampleCountScalesWithCpuTime) {
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
   prof.Reset();
   ASSERT_TRUE(prof.Start(250));
 
@@ -493,7 +723,6 @@ TEST(ProfilerTest, SampleCountScalesWithCpuTime) {
 
 TEST(ProfilerTest, FiltersByQueryFingerprint) {
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
   prof.Reset();
   ASSERT_TRUE(prof.Start(250));
 
@@ -518,7 +747,6 @@ TEST(ProfilerTest, FiltersByQueryFingerprint) {
 
 TEST(ProfilerTest, CpuSecondsReconcileWithAttribution) {
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
   prof.Reset();
   ASSERT_TRUE(prof.Start(250));
 
@@ -542,12 +770,10 @@ TEST(ProfilerTest, CpuSecondsReconcileWithAttribution) {
 
 TEST(ProfilerTest, FoldedOutputWellFormedAndReportable) {
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
 
   // Busy worker under a QueryScope so stacks get a query root.
   std::atomic<bool> stop{false};
   std::thread worker([&stop] {
-    obs::Profiler::Global().RegisterCurrentThread();
     obs::QueryScope scope("test.folded", 0x0F01DEDu);
     while (!stop.load(std::memory_order_relaxed)) SpinCpu(0.05);
   });
@@ -603,7 +829,6 @@ TEST(ProfilerTest, ProfilezEndpointReturnsFoldedStacks) {
 
   std::atomic<bool> stop{false};
   std::thread worker([&stop] {
-    obs::Profiler::Global().RegisterCurrentThread();
     obs::QueryScope scope("test.profilez", 0xBEEF01u);
     while (!stop.load(std::memory_order_relaxed)) SpinCpu(0.05);
   });
@@ -621,7 +846,6 @@ TEST(ProfilerTest, ProfilezEndpointReturnsFoldedStacks) {
   // Query-filtered slice only keeps that fingerprint's stacks.
   stop.store(false, std::memory_order_relaxed);
   std::thread worker2([&stop] {
-    obs::Profiler::Global().RegisterCurrentThread();
     obs::QueryScope scope("test.profilez2", 0xBEEF02u);
     while (!stop.load(std::memory_order_relaxed)) SpinCpu(0.05);
   });
@@ -652,7 +876,6 @@ TEST(ProfilerTest, EngineResultsBitIdenticalWithProfilerRunning) {
   const std::vector<double> baseline = run(4);  // profiler off
 
   obs::Profiler& prof = obs::Profiler::Global();
-  prof.RegisterCurrentThread();
   ASSERT_TRUE(prof.Start(obs::Profiler::kDefaultHz));
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     const std::vector<double> sampled = run(threads);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <regex>
 #include <string>
 #include <thread>
@@ -206,6 +207,75 @@ TEST(ObsTraceTest, ChromeTraceJsonShape) {
   Tracer::Global().Clear();
   const std::string empty = Tracer::Global().ChromeTraceJson();
   EXPECT_NE(empty.find("\"traceEvents\""), std::string::npos);
+}
+
+/// The "X" and flow events of a Chrome trace (the metadata lanes dropped),
+/// with lane tids renumbered by first appearance: tids are assigned per
+/// recording thread and are the only span-event field that varies by run.
+std::string SpanAndFlowEvents(const std::string& json) {
+  const size_t begin =
+      json.rfind("{\"name\":\"", json.find("\"cat\":\"mde\""));
+  const size_t end = json.rfind("],\"displayTimeUnit\"");
+  const std::string events = json.substr(begin, end - begin);
+  static const std::regex tid_re("\"tid\":([0-9]+)");
+  std::map<std::string, int> lanes;
+  std::string out;
+  auto last = events.cbegin();
+  for (std::sregex_iterator it(events.begin(), events.end(), tid_re), stop;
+       it != stop; ++it) {
+    const int lane =
+        lanes.emplace((*it)[1].str(), static_cast<int>(lanes.size()))
+            .first->second;
+    out.append(last, (*it)[0].first);
+    out += "\"tid\":T" + std::to_string(lane);
+    last = (*it)[0].second;
+  }
+  out.append(last, events.cend());
+  return out;
+}
+
+TEST(ObsTraceTest, ChromeSpanAndFlowEventsGolden) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Clear();
+  tracer.Record("golden.root", 1000, 9000, 0, 42, 100, 0);
+  tracer.Record("golden.inner", 2000, 1500, 1, 42, 101, 100);
+  tracer.Record("golden.untraced", 2500, 250, 1);
+  // Two other threads, alive at once so each records on its own lane: a
+  // child of the root (arrow starts at its open time) and a child of the
+  // inner span that opens after its parent closed (arrow start clamped to
+  // the parent's end).
+  std::thread([&tracer] {
+    tracer.Record("golden.\"stolen\"\\", 3000, 2000, 0, 42, 102, 100);
+    std::thread([&tracer] {
+      tracer.Record("golden.late", 12000, 500, 0, 42, 103, 101);
+    }).join();
+  }).join();
+  const std::string json = tracer.ChromeTraceJson();
+  tracer.Clear();
+  EXPECT_EQ(
+      SpanAndFlowEvents(json),
+      "{\"name\":\"golden.root\",\"cat\":\"mde\",\"ph\":\"X\",\"pid\":0,"
+      "\"tid\":T0,\"ts\":0,\"dur\":9,\"args\":{\"trace_id\":42,"
+      "\"span_id\":100,\"parent_span_id\":0}},"
+      "{\"name\":\"golden.inner\",\"cat\":\"mde\",\"ph\":\"X\",\"pid\":0,"
+      "\"tid\":T0,\"ts\":1,\"dur\":1.5,\"args\":{\"trace_id\":42,"
+      "\"span_id\":101,\"parent_span_id\":100}},"
+      "{\"name\":\"golden.untraced\",\"cat\":\"mde\",\"ph\":\"X\",\"pid\":0,"
+      "\"tid\":T0,\"ts\":1.5,\"dur\":0.25},"
+      "{\"name\":\"golden.\\\"stolen\\\"\\\\\",\"cat\":\"mde\",\"ph\":\"X\","
+      "\"pid\":0,\"tid\":T1,\"ts\":2,\"dur\":2,\"args\":{\"trace_id\":42,"
+      "\"span_id\":102,\"parent_span_id\":100}},"
+      "{\"name\":\"golden.late\",\"cat\":\"mde\",\"ph\":\"X\",\"pid\":0,"
+      "\"tid\":T2,\"ts\":11,\"dur\":0.5,\"args\":{\"trace_id\":42,"
+      "\"span_id\":103,\"parent_span_id\":101}},"
+      "{\"name\":\"ctx\",\"cat\":\"mde\",\"ph\":\"s\",\"id\":102,\"pid\":0,"
+      "\"tid\":T0,\"ts\":2},"
+      "{\"name\":\"ctx\",\"cat\":\"mde\",\"ph\":\"f\",\"bp\":\"e\","
+      "\"id\":102,\"pid\":0,\"tid\":T1,\"ts\":2},"
+      "{\"name\":\"ctx\",\"cat\":\"mde\",\"ph\":\"s\",\"id\":103,\"pid\":0,"
+      "\"tid\":T0,\"ts\":2.5},"
+      "{\"name\":\"ctx\",\"cat\":\"mde\",\"ph\":\"f\",\"bp\":\"e\","
+      "\"id\":103,\"pid\":0,\"tid\":T2,\"ts\":11}");
 }
 
 TEST(ObsTraceTest, FlameSummarySeparatesSelfFromInclusive) {
