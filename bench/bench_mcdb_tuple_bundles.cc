@@ -196,7 +196,7 @@ BENCHMARK(BM_BundleQueryExec)
 
 /// One bundle row's draws: a fresh BatchRng (as NormalVg::GenerateScalarN
 /// seeds one per row) filling `n` standard normals. items/s is draws per
-/// second; run it under MDE_SIMD=scalar|sse4|avx2|avx512 to compare the
+/// second; run it under MDE_SIMD=scalar|avx2|avx512 to compare the
 /// per-draw cost of the dispatch tiers.
 void BM_FillNormal(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

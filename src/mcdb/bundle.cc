@@ -503,7 +503,7 @@ Result<BundleTable> GenerateBundlesImpl(const MonteCarloDb& db,
       // is keyed by the ORIGINAL outer index `i`, not the output position,
       // so a keep-list run reproduces exactly the values a full run would
       // have drawn for the surviving rows.
-      Rng rng(seed ^ (0x9e3779b97f4a7c15ULL + i * 2654435761ULL));
+      Rng rng = Rng::Keyed(seed, i);
       double* row_out = block + j * num_reps;
       if (spec.vg->GenerateScalarN(params, rng, num_reps, row_out)) {
         continue;

@@ -95,7 +95,7 @@ Result<BootstrapCi> BootstrapConfidenceInterval(
   auto run_range = [&](size_t, size_t begin, size_t end) {
     std::vector<double> resample(samples.size());  // per-chunk scratch
     for (size_t b = begin; b < end; ++b) {
-      Rng rng(seed ^ (0x9e3779b97f4a7c15ULL + b * 2654435761ULL));
+      Rng rng = Rng::Keyed(seed, b);
       for (size_t i = 0; i < samples.size(); ++i) {
         resample[i] = samples[rng.NextBounded(samples.size())];
       }

@@ -6,6 +6,7 @@
 #include <map>
 #include <thread>
 
+#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/thread_slot.h"
 #include "obs/trace.h"
@@ -30,7 +31,10 @@ using internal::SampleRecord;
 using internal::ThreadSlot;
 
 std::atomic<uint64_t> g_samples_recorded{0};
-std::atomic<uint64_t> g_frames_truncated{0};
+/// Samples whose stack was deeper than kMaxFrames. A plain atomic: the
+/// handler must not reach Counter::Add, which goes through the thread's
+/// metric shard. A sample hook publishes it as `prof.truncated`.
+std::atomic<uint64_t> g_samples_truncated{0};
 /// The session: running flag and rate, both written under the slot
 /// registry mutex. The flag doubles as the handler gate: timers are deleted
 /// under that mutex, but a signal already in flight can land after Stop —
@@ -52,13 +56,15 @@ void ProfSignalHandler(int /*sig*/, siginfo_t* si, void* /*uctx*/) {
   SampleRecord* ring = s->samples.load(std::memory_order_acquire);
   if (ring == nullptr) return;
   const int saved_errno = errno;
-  void* frames[Profiler::kMaxFrames + kSkipFrames];
-  int n = ::backtrace(frames, Profiler::kMaxFrames + kSkipFrames);
-  int skip = kSkipFrames < n ? kSkipFrames : n;
+  // One frame more than is kept: a full buffer means the stack went deeper.
+  constexpr int kCapacity =
+      static_cast<int>(Profiler::kMaxFrames) + kSkipFrames + 1;
+  void* frames[kCapacity];
+  const int n = ::backtrace(frames, kCapacity);
+  const int skip = kSkipFrames < n ? kSkipFrames : n;
   uint32_t depth = static_cast<uint32_t>(n - skip);
   if (depth > Profiler::kMaxFrames) {
-    g_frames_truncated.fetch_add(depth - Profiler::kMaxFrames,
-                                 std::memory_order_relaxed);
+    g_samples_truncated.fetch_add(1, std::memory_order_relaxed);
     depth = Profiler::kMaxFrames;
   }
   const uint64_t i = s->sample_seq.load(std::memory_order_relaxed);
@@ -90,6 +96,13 @@ void InstallProfHandlerOnce() {
     sa.sa_sigaction = ProfSignalHandler;
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
+    // Hooks run one at a time, so `published` needs no lock of its own.
+    RegisterSampleHook([published = uint64_t{0}]() mutable {
+      const uint64_t total =
+          g_samples_truncated.load(std::memory_order_relaxed);
+      MDE_OBS_COUNT("prof.truncated", total - published);
+      published = total;
+    });
     return sigaction(SIGPROF, &sa, nullptr) == 0;
   }();
   (void)installed;
@@ -186,6 +199,10 @@ int Profiler::hz() const {
 
 uint64_t Profiler::samples_recorded() const {
   return g_samples_recorded.load(std::memory_order_relaxed);
+}
+
+uint64_t Profiler::samples_truncated() const {
+  return g_samples_truncated.load(std::memory_order_relaxed);
 }
 
 std::vector<Profiler::Sample> Profiler::Collect(uint64_t since_ns,

@@ -45,8 +45,9 @@ class Profiler {
  public:
   static Profiler& Global();
 
-  /// Deepest stack recorded per sample (frames beyond this are dropped and
-  /// counted on `prof.truncated`).
+  /// Deepest stack recorded per sample. A deeper stack keeps its innermost
+  /// kMaxFrames frames and counts the sample on `samples_truncated()`,
+  /// published as the `prof.truncated` counter on each metrics export.
   static constexpr size_t kMaxFrames = 32;
   /// Retained samples per thread (newest win). At the default rate a busy
   /// thread wraps after kRingSize/97 ~ 21 s — /profilez windows must be
@@ -72,8 +73,10 @@ class Profiler {
   bool running() const;
   int hz() const;
 
-  /// Total samples ever recorded / frames dropped to kMaxFrames.
+  /// Total samples ever recorded.
   uint64_t samples_recorded() const;
+  /// Of those, the samples whose stack was cut to kMaxFrames frames.
+  uint64_t samples_truncated() const;
 
   /// One collected sample (raw PCs; symbolize at render time).
   struct Sample {

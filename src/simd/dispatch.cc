@@ -1,6 +1,5 @@
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "obs/metrics.h"
@@ -18,9 +17,8 @@ using internal::KernelTable;
 constexpr const char* kKernelNames[] = {
     "cmp_f64_bitmap", "cmp_i64_range_bitmap", "cmp_u32_eq_bitmap",
     "cmp_u8_bitmap",  "bitmap_words",         "popcount_words",
-    "cmp_f64_mask",   "masked_add_f64",       "sum_f64",
-    "minmax_f64",     "affine_map_f64",       "rng_block",
-    "uniform_block",  "normal_fast_block",
+    "cmp_f64_mask",   "masked_add_f64",       "affine_map_f64",
+    "rng_block",      "uniform_block",        "normal_fast_block",
 };
 static_assert(sizeof(kKernelNames) / sizeof(kKernelNames[0]) ==
               static_cast<size_t>(KernelId::kNumKernels));
@@ -32,8 +30,6 @@ const KernelTable* TableFor(Tier t) {
       return internal::Avx512Table();
     case Tier::kAvx2:
       return internal::Avx2Table();
-    case Tier::kSse4:
-      return internal::Sse4Table();
     case Tier::kScalar:
       break;
   }
@@ -46,16 +42,9 @@ const KernelTable* TableFor(Tier t) {
 /// Parses MDE_SIMD; anything unrecognized (or unset) means "best".
 Tier RequestedTier() {
   const char* env = std::getenv("MDE_SIMD");
-  if (env != nullptr) {
-    if (std::strcmp(env, "scalar") == 0) return Tier::kScalar;
-    if (std::strcmp(env, "sse4") == 0 || std::strcmp(env, "sse4.2") == 0 ||
-        std::strcmp(env, "sse42") == 0) {
-      return Tier::kSse4;
-    }
-    if (std::strcmp(env, "avx2") == 0) return Tier::kAvx2;
-    if (std::strcmp(env, "avx512") == 0) return Tier::kAvx512;
-  }
-  return BestSupportedTier();
+  Tier t = BestSupportedTier();
+  if (env != nullptr) ParseTier(env, &t);
+  return t;
 }
 
 struct DispatchState {
@@ -99,12 +88,24 @@ const char* TierName(Tier t) {
       return "avx512";
     case Tier::kAvx2:
       return "avx2";
-    case Tier::kSse4:
-      return "sse4";
     case Tier::kScalar:
       break;
   }
   return "scalar";
+}
+
+bool ParseTier(std::string_view name, Tier* out) {
+  if (name == "scalar" || name == "sse4" || name == "sse4.2" ||
+      name == "sse42") {
+    *out = Tier::kScalar;
+  } else if (name == "avx2") {
+    *out = Tier::kAvx2;
+  } else if (name == "avx512") {
+    *out = Tier::kAvx512;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 Tier BestSupportedTier() {
@@ -116,7 +117,6 @@ Tier BestSupportedTier() {
     return Tier::kAvx512;
   }
   if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return Tier::kSse4;
   return Tier::kScalar;
 #endif
 }
@@ -124,11 +124,6 @@ Tier BestSupportedTier() {
 Tier ActiveTier() { return State().tier; }
 
 void SetTier(Tier t) { State().Apply(t); }
-
-Tier InitFromEnv() {
-  State().Apply(RequestedTier());
-  return State().tier;
-}
 
 void CountKernel(KernelId k) {
   State().counters[static_cast<size_t>(k)]->Add(1);
@@ -172,18 +167,6 @@ void AndWords(const uint64_t* a, const uint64_t* b, size_t nwords,
               uint64_t* out) {
   CountKernel(KernelId::kBitmapWords);
   T().and_words(a, b, nwords, out);
-}
-
-void OrWords(const uint64_t* a, const uint64_t* b, size_t nwords,
-             uint64_t* out) {
-  CountKernel(KernelId::kBitmapWords);
-  T().or_words(a, b, nwords, out);
-}
-
-void AndNotWords(const uint64_t* a, const uint64_t* b, size_t nwords,
-                 uint64_t* out) {
-  CountKernel(KernelId::kBitmapWords);
-  T().andnot_words(a, b, nwords, out);
 }
 
 uint64_t PopcountWords(const uint64_t* w, size_t nwords) {
@@ -230,21 +213,6 @@ void AffineMapF64(const double* in, size_t n, double scale, double offset,
                   double* out) {
   CountKernel(KernelId::kAffineMapF64);
   T().affine_map_f64(in, n, scale, offset, out);
-}
-
-double SumF64(const double* x, size_t n) {
-  CountKernel(KernelId::kSumF64);
-  return T().sum_f64(x, n);
-}
-
-double MinF64(const double* x, size_t n) {
-  CountKernel(KernelId::kMinMaxF64);
-  return T().min_f64(x, n);
-}
-
-double MaxF64(const double* x, size_t n) {
-  CountKernel(KernelId::kMinMaxF64);
-  return T().max_f64(x, n);
 }
 
 void RngBlock(uint64_t* state, uint64_t* raw) {

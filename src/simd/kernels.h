@@ -20,8 +20,6 @@ struct KernelTable {
                             uint64_t*);
   void (*cmp_u8_bitmap)(const uint8_t*, size_t, bool, uint64_t*);
   void (*and_words)(const uint64_t*, const uint64_t*, size_t, uint64_t*);
-  void (*or_words)(const uint64_t*, const uint64_t*, size_t, uint64_t*);
-  void (*andnot_words)(const uint64_t*, const uint64_t*, size_t, uint64_t*);
   uint64_t (*popcount_words)(const uint64_t*, size_t);
   uint64_t (*cmp_f64_mask_word)(const double*, size_t, Cmp, double);
   void (*masked_add_f64_word)(double*, const double*, uint64_t);
@@ -30,9 +28,6 @@ struct KernelTable {
                                      uint64_t);
   void (*add_const_f64)(double*, double, size_t);
   void (*affine_map_f64)(const double*, size_t, double, double, double*);
-  double (*sum_f64)(const double*, size_t);
-  double (*min_f64)(const double*, size_t);
-  double (*max_f64)(const double*, size_t);
   void (*rng_block)(uint64_t*, uint64_t*);
   void (*uniform_block)(const uint64_t*, double*);
   uint64_t (*normal_fast_block)(const uint64_t*, const double*, const double*,
@@ -43,7 +38,6 @@ struct KernelTable {
 /// that compile the vector TUs (x86-64, MDE_SIMD_FORCE_SCALAR off).
 const KernelTable* ScalarTable();
 #ifndef MDE_SIMD_SCALAR_ONLY
-const KernelTable* Sse4Table();
 const KernelTable* Avx2Table();
 const KernelTable* Avx512Table();
 #endif

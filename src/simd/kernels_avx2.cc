@@ -11,25 +11,6 @@
 namespace mde::simd::internal {
 namespace {
 
-struct Avx2Ops {
-  using V = __m256d;
-  using U = __m256i;
-  static constexpr size_t kWidth = 4;
-
-  static V set1(double c) { return _mm256_set1_pd(c); }
-  static U load_u(const uint64_t* p) {
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  }
-  static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
-  static V sub(V a, V b) { return _mm256_sub_pd(a, b); }
-  static V mul(V a, V b) { return _mm256_mul_pd(a, b); }
-  static V from_bits(U a) { return _mm256_castsi256_pd(a); }
-  static U shr(U a, int k) { return _mm256_srli_epi64(a, k); }
-  static U or_u(U a, uint64_t c) {
-    return _mm256_or_si256(a, _mm256_set1_epi64x(static_cast<long long>(c)));
-  }
-};
-
 template <int IMM>
 void CmpF64BitmapImm(const double* data, size_t n, Cmp op, double lit,
                      uint64_t* out) {
@@ -157,33 +138,6 @@ void AndWordsAvx2(const uint64_t* a, const uint64_t* b, size_t nwords,
             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w))));
   }
   for (; w < nwords; ++w) out[w] = a[w] & b[w];
-}
-
-void OrWordsAvx2(const uint64_t* a, const uint64_t* b, size_t nwords,
-                 uint64_t* out) {
-  size_t w = 0;
-  for (; w + 4 <= nwords; w += 4) {
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + w),
-        _mm256_or_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w))));
-  }
-  for (; w < nwords; ++w) out[w] = a[w] | b[w];
-}
-
-void AndNotWordsAvx2(const uint64_t* a, const uint64_t* b, size_t nwords,
-                     uint64_t* out) {
-  size_t w = 0;
-  for (; w + 4 <= nwords; w += 4) {
-    // andnot(x, y) = ~x & y, so pass b first to get a & ~b.
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + w),
-        _mm256_andnot_si256(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + w)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + w))));
-  }
-  for (; w < nwords; ++w) out[w] = a[w] & ~b[w];
 }
 
 template <int IMM>
@@ -319,42 +273,6 @@ void AffineMapF64Avx2(const double* in, size_t n, double scale, double offset,
   for (; i < n; ++i) out[i] = offset + scale * in[i];
 }
 
-double SumF64Avx2(const double* x, size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t j = n4; j < n; ++j) lane[j & 3] += x[j];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-double MinF64Avx2(const double* x, size_t n) {
-  __m256d acc = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  const size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    acc = _mm256_min_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t j = n4; j < n; ++j) lane[j & 3] = MinLane(lane[j & 3], x[j]);
-  return MinLane(MinLane(lane[0], lane[1]), MinLane(lane[2], lane[3]));
-}
-
-double MaxF64Avx2(const double* x, size_t n) {
-  __m256d acc = _mm256_set1_pd(-std::numeric_limits<double>::infinity());
-  const size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(x + i));
-  }
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, acc);
-  for (size_t j = n4; j < n; ++j) lane[j & 3] = MaxLane(lane[j & 3], x[j]);
-  return MaxLane(MaxLane(lane[0], lane[1]), MaxLane(lane[2], lane[3]));
-}
-
 inline __m256i Rotl256(__m256i v, int k) {
   return _mm256_or_si256(_mm256_slli_epi64(v, k), _mm256_srli_epi64(v, 64 - k));
 }
@@ -383,8 +301,20 @@ void RngBlockAvx2(uint64_t* state, uint64_t* raw) {
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(state + 12), s3);
 }
 
+/// UniformBlockRef four words at a time. AVX2 has no int64->double
+/// convert, so the 52-bit payload is OR-ed into the mantissa of 2^52 and
+/// 2^52 subtracted: both steps are exact, so the bits match the reference.
 void UniformBlockAvx2(const uint64_t* raw, double* out) {
-  UniformBlockT<Avx2Ops>(raw, out);
+  const __m256i exponent = _mm256_set1_epi64x(0x4330000000000000LL);
+  const __m256d two52 = _mm256_set1_pd(0x1p52);
+  const __m256d scale = _mm256_set1_pd(0x1p-52);
+  for (size_t j = 0; j < kRngBatch; j += 4) {
+    const __m256i y = _mm256_srli_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(raw + j)), 12);
+    const __m256d d =
+        _mm256_sub_pd(_mm256_castsi256_pd(_mm256_or_si256(y, exponent)), two52);
+    _mm256_storeu_pd(out + j, _mm256_mul_pd(d, scale));
+  }
 }
 
 const KernelTable kAvx2Table = {
@@ -393,8 +323,6 @@ const KernelTable kAvx2Table = {
     &CmpU32EqBitmapAvx2,
     &CmpU8BitmapAvx2,
     &AndWordsAvx2,
-    &OrWordsAvx2,
-    &AndNotWordsAvx2,
     &PopcountWordsRef,
     &CmpF64MaskWordAvx2,
     &MaskedAddF64WordAvx2,
@@ -402,9 +330,6 @@ const KernelTable kAvx2Table = {
     &MaskedAccumulateF64WordAvx2,
     &AddConstF64Avx2,
     &AffineMapF64Avx2,
-    &SumF64Avx2,
-    &MinF64Avx2,
-    &MaxF64Avx2,
     &RngBlockAvx2,
     &UniformBlockAvx2,
     &NormalFastBlockRef,

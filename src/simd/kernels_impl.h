@@ -4,22 +4,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <limits>
 
 #include "simd/simd.h"
 
-/// Shared kernel bodies, included by every tier's translation unit.
-///
-/// Two kinds of code live here:
-///  1. Scalar reference implementations (*Ref). The scalar tier IS these
-///     functions; the vector tiers reuse them for sub-lane tails, which is
-///     trivially bit-identical.
-///  2. Templates over a lane-ops policy (ScalarOps here; Sse2Ops/Avx2Ops in
-///     their TUs). The raw-bits-to-uniform map is written ONCE against the
-///     policy, so every tier executes the identical IEEE operation DAG and
-///     produces identical bits per element — the property the
-///     differential suite locks in.
+/// Scalar reference kernel bodies (*Ref), included by every tier's
+/// translation unit. The scalar tier IS these functions; the vector tiers
+/// reuse them for sub-lane tails (trivially bit-identical) and for the
+/// kernels they have no body of their own for. Every vector body performs
+/// the same IEEE operation per element as its *Ref, so every tier produces
+/// identical bits — the property the differential suite locks in.
 ///
 /// All TUs including this header are compiled with -ffp-contract=off and
 /// without -mfma: a contracted a*b+c rounds once instead of twice and would
@@ -127,16 +120,9 @@ inline void AndWordsRef(const uint64_t* a, const uint64_t* b, size_t nwords,
   for (size_t w = 0; w < nwords; ++w) out[w] = a[w] & b[w];
 }
 
-inline void OrWordsRef(const uint64_t* a, const uint64_t* b, size_t nwords,
-                       uint64_t* out) {
-  for (size_t w = 0; w < nwords; ++w) out[w] = a[w] | b[w];
-}
-
-inline void AndNotWordsRef(const uint64_t* a, const uint64_t* b, size_t nwords,
-                           uint64_t* out) {
-  for (size_t w = 0; w < nwords; ++w) out[w] = a[w] & ~b[w];
-}
-
+/// Every tier runs this loop, but each compiles it with its own flags:
+/// -mavx2 implies POPCNT, so the vector tiers get the popcnt instruction
+/// where the baseline scalar TU calls libgcc's __popcountdi2 per word.
 inline uint64_t PopcountWordsRef(const uint64_t* w, size_t nwords) {
   uint64_t total = 0;
   for (size_t i = 0; i < nwords; ++i) {
@@ -215,57 +201,6 @@ inline void AffineMapF64Ref(const double* in, size_t n, double scale,
 }
 
 // ---------------------------------------------------------------------------
-// Fixed-shape reductions: 4 strided accumulators, tail folded into lane
-// (i % 4), lanes combined as (l0 op l1) op (l2 op l3). The min/max lane op
-// matches vminpd/vmaxpd (acc if acc < x else x), so NaN inputs propagate
-// identically on every tier.
-// ---------------------------------------------------------------------------
-
-inline double MinLane(double acc, double x) { return acc < x ? acc : x; }
-inline double MaxLane(double acc, double x) { return acc > x ? acc : x; }
-
-inline double SumF64Ref(const double* x, size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  const size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    lane[0] += x[i];
-    lane[1] += x[i + 1];
-    lane[2] += x[i + 2];
-    lane[3] += x[i + 3];
-  }
-  for (size_t j = n4; j < n; ++j) lane[j & 3] += x[j];
-  return (lane[0] + lane[1]) + (lane[2] + lane[3]);
-}
-
-inline double MinF64Ref(const double* x, size_t n) {
-  double lane[4];
-  for (double& l : lane) l = std::numeric_limits<double>::infinity();
-  const size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    lane[0] = MinLane(lane[0], x[i]);
-    lane[1] = MinLane(lane[1], x[i + 1]);
-    lane[2] = MinLane(lane[2], x[i + 2]);
-    lane[3] = MinLane(lane[3], x[i + 3]);
-  }
-  for (size_t j = n4; j < n; ++j) lane[j & 3] = MinLane(lane[j & 3], x[j]);
-  return MinLane(MinLane(lane[0], lane[1]), MinLane(lane[2], lane[3]));
-}
-
-inline double MaxF64Ref(const double* x, size_t n) {
-  double lane[4];
-  for (double& l : lane) l = -std::numeric_limits<double>::infinity();
-  const size_t n4 = n & ~size_t{3};
-  for (size_t i = 0; i < n4; i += 4) {
-    lane[0] = MaxLane(lane[0], x[i]);
-    lane[1] = MaxLane(lane[1], x[i + 1]);
-    lane[2] = MaxLane(lane[2], x[i + 2]);
-    lane[3] = MaxLane(lane[3], x[i + 3]);
-  }
-  for (size_t j = n4; j < n; ++j) lane[j & 3] = MaxLane(lane[j & 3], x[j]);
-  return MaxLane(MaxLane(lane[0], lane[1]), MaxLane(lane[2], lane[3]));
-}
-
-// ---------------------------------------------------------------------------
 // RNG block: 4 interleaved xoshiro256++ lanes, 16 steps. Pure integer —
 // every tier that follows the lane layout is exact.
 // ---------------------------------------------------------------------------
@@ -295,9 +230,18 @@ inline void RngBlockRef(uint64_t* state, uint64_t* raw) {
   }
 }
 
+/// 64 raw draws -> 64 uniforms in [0, 1): (raw >> 12) * 2^-52. The 52-bit
+/// payload is below 2^52, so its conversion to double is exact and the
+/// power-of-two scale is exact too; out[j] depends only on raw[j].
+inline void UniformBlockRef(const uint64_t* raw, double* out) {
+  for (size_t j = 0; j < kRngBatch; ++j) {
+    out[j] = static_cast<double>(raw[j] >> 12) * 0x1p-52;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Ziggurat fast path over a raw block (simd.h NormalFastBlock). The scalar,
-// SSE4 and AVX2 tiers run this loop: AVX2 has no 64-bit arithmetic shift or
+// Ziggurat fast path over a raw block (simd.h NormalFastBlock). The scalar
+// and AVX2 tiers run this loop: AVX2 has no 64-bit arithmetic shift or
 // int64->double convert, so a vector body would have to emulate both.
 // ---------------------------------------------------------------------------
 
@@ -318,44 +262,6 @@ inline uint64_t NormalFastBlockRef(const uint64_t* raw, const double* x_scaled,
     if (!(std::fabs(x) < x_edge[i])) [[unlikely]] miss |= uint64_t{1} << j;
   }
   return miss;
-}
-
-// ---------------------------------------------------------------------------
-// Lane-ops policy + the shared raw-to-uniform map.
-// ---------------------------------------------------------------------------
-
-struct ScalarOps {
-  using V = double;
-  using U = uint64_t;
-  static constexpr size_t kWidth = 1;
-
-  static V set1(double c) { return c; }
-  static U load_u(const uint64_t* p) { return *p; }
-  static void store(double* p, V v) { *p = v; }
-  static V sub(V a, V b) { return a - b; }
-  static V mul(V a, V b) { return a * b; }
-  static V from_bits(U a) { return std::bit_cast<V>(a); }
-  static U shr(U a, int k) { return a >> k; }
-  static U or_u(U a, uint64_t c) { return a | c; }
-};
-
-/// (raw >> 12) * 2^-52 in [0, 1). The 52-bit payload stays below 2^52, so
-/// the OR-with-2^52-exponent magic conversion is exact on every tier.
-template <typename O>
-inline typename O::V ToUnit(typename O::U raw) {
-  const typename O::U y = O::shr(raw, 12);
-  const typename O::V d =
-      O::sub(O::from_bits(O::or_u(y, 0x4330000000000000ULL)), O::set1(0x1p52));
-  return O::mul(d, O::set1(0x1p-52));
-}
-
-/// 64 raw draws -> 64 uniforms in [0, 1). out[j] depends only on raw[j],
-/// so vector width cannot change any value.
-template <typename O>
-inline void UniformBlockT(const uint64_t* raw, double* out) {
-  for (size_t i = 0; i < kRngBatch; i += O::kWidth) {
-    O::store(out + i, ToUnit<O>(O::load_u(raw + i)));
-  }
 }
 
 }  // namespace mde::simd::internal

@@ -3,17 +3,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
 
 /// Runtime-dispatched SIMD kernel layer (ROADMAP item 3).
 ///
-/// Four tiers of every kernel — portable scalar, SSE4.2, AVX2, AVX-512
-/// (F+VL+DQ) — are selected ONCE at startup from CPUID (overridable with the
-/// MDE_SIMD environment variable: "scalar", "sse4", "avx2" or "avx512",
-/// clamped to what the hardware supports). Callers go through the free
-/// functions below, which jump through a per-process dispatch table. A tier
-/// need not have its own body for every kernel: the AVX-512 tier reuses the
-/// AVX2 bodies except for RngBlock and NormalFastBlock, whose 64-bit
-/// rotate, arithmetic shift and int64->double convert AVX2 lacks.
+/// Three tiers of every kernel — portable scalar, AVX2, AVX-512 (F+VL+DQ) —
+/// are selected ONCE at startup from CPUID (overridable with the MDE_SIMD
+/// environment variable: "scalar", "avx2" or "avx512", clamped to what the
+/// hardware supports). Callers go through the free functions below, which
+/// jump through a per-process dispatch table. A tier need not have its own
+/// body for every kernel: the AVX-512 tier reuses the AVX2 bodies except for
+/// RngBlock and NormalFastBlock, whose 64-bit rotate, arithmetic shift and
+/// int64->double convert AVX2 lacks.
 ///
 /// The contract that makes this layer safe to drop under the deterministic
 /// execution engine: every kernel produces BITWISE-IDENTICAL output on
@@ -24,18 +25,23 @@
 ///    scalar and vector agree operation-for-operation. FMA contraction is
 ///    disabled in all kernel translation units (-ffp-contract=off, no
 ///    -mfma) precisely so the op DAG stays identical.
-///  - Horizontal float reductions (SumF64/MinF64/MaxF64) use a FIXED
-///    4-lane-strided tree implemented with the same shape on every tier.
 /// The differential suite (tests/simd_test.cc) sweeps every kernel across
 /// tiers x thread counts and asserts equality bit-for-bit.
 namespace mde::simd {
 
-/// Dispatch tiers, ordered: higher value = wider vectors.
-enum class Tier : int { kScalar = 0, kSse4 = 1, kAvx2 = 2, kAvx512 = 3 };
+/// Dispatch tiers, ordered: higher value = wider vectors. The values are
+/// what the `simd.tier` gauge reports; 1 was the retired SSE4.2 tier.
+enum class Tier : int { kScalar = 0, kAvx2 = 2, kAvx512 = 3 };
 
-/// Lowercase tier name ("scalar" / "sse4" / "avx2" / "avx512") — stable
-/// strings used by MDE_SIMD parsing, the obs gauge and benchmark context.
+/// Lowercase tier name ("scalar" / "avx2" / "avx512") — stable strings used
+/// by ParseTier, the obs runtime label and benchmark context.
 const char* TierName(Tier t);
+
+/// Maps a tier name (a TierName string) to its tier, for MDE_SIMD and tool
+/// flags. The retired SSE4.2 tier's names ("sse4", "sse4.2", "sse42") map to
+/// kScalar, the tier that now runs on such CPUs. Returns false, leaving
+/// *out alone, for any other name.
+bool ParseTier(std::string_view name, Tier* out);
 
 /// The tier the dispatch table currently points at.
 Tier ActiveTier();
@@ -47,10 +53,6 @@ Tier BestSupportedTier();
 /// refreshes the `simd.tier` gauge. For tests and tools only; not safe to
 /// call concurrently with running kernels.
 void SetTier(Tier t);
-
-/// Re-reads MDE_SIMD and the CPU, as done once at startup. Returns the tier
-/// now active.
-Tier InitFromEnv();
 
 /// Comparison predicate with C++ operator semantics on doubles: ordered
 /// (false on NaN operands) except kNe, which is true when either side is
@@ -71,8 +73,6 @@ enum class KernelId : int {
   kPopcountWords,
   kCmpF64MaskWord,
   kMaskedAddF64,
-  kSumF64,
-  kMinMaxF64,
   kAffineMapF64,
   kRngBlock,
   kUniformBlock,
@@ -117,11 +117,6 @@ void CmpU8Bitmap(const uint8_t* data, size_t n, bool match_nonzero,
 
 void AndWords(const uint64_t* a, const uint64_t* b, size_t nwords,
               uint64_t* out);
-void OrWords(const uint64_t* a, const uint64_t* b, size_t nwords,
-             uint64_t* out);
-/// out = a & ~b.
-void AndNotWords(const uint64_t* a, const uint64_t* b, size_t nwords,
-                 uint64_t* out);
 /// Total set bits.
 uint64_t PopcountWords(const uint64_t* w, size_t nwords);
 
@@ -167,19 +162,6 @@ void AddConstF64(double* acc, double c, size_t n);
 /// rounding steps per element, never contracted to FMA). in == out allowed.
 void AffineMapF64(const double* in, size_t n, double scale, double offset,
                   double* out);
-
-// ---------------------------------------------------------------------------
-// Fixed-shape horizontal reductions: 4 strided accumulators
-// (acc[l] over elements i with i % 4 == l), tail folded into acc[i % 4],
-// combined as (acc0 + acc1) + (acc2 + acc3). Every tier implements this
-// exact tree, so the (single, deterministic) result is tier-invariant.
-// ---------------------------------------------------------------------------
-
-double SumF64(const double* x, size_t n);
-/// Reduction op matches vminpd/vmaxpd: acc = (acc < x) ? acc : x, i.e. NaN
-/// inputs propagate into the result. Returns +inf / -inf for n == 0.
-double MinF64(const double* x, size_t n);
-double MaxF64(const double* x, size_t n);
 
 // ---------------------------------------------------------------------------
 // Batched RNG blocks (util/rng.h's BatchRng is the stateful consumer).

@@ -24,9 +24,10 @@ ParticleFilter::ParticleFilter(const StateSpaceModel& model,
 }
 
 Rng ParticleFilter::ParticleRng(size_t step, size_t i) const {
-  // SplitMix64-style mixing gives every (step, particle) pair a private
-  // substream, so the propagate/weight loop parallelizes over particles
-  // with output independent of thread count (and of pool presence).
+  // Rng::Keyed's mix with the step folded in gives every (step, particle)
+  // pair a private stream, so the propagate/weight loop parallelizes over
+  // particles with output independent of thread count (and of pool
+  // presence).
   return Rng(options_.seed ^ (0x9e3779b97f4a7c15ULL + i * 2654435761ULL +
                               step * 0x100000001b3ULL));
 }

@@ -7,25 +7,18 @@
 
 #include "obs/metrics.h"
 #include "table/columnar.h"
+#include "util/rng.h"
 
 namespace mde::table {
 
 namespace {
-
-/// SplitMix64 finalizer: cheap, well-mixed, deterministic across runs.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 uint64_t HashDoubleBits(double d) {
   if (d == 0.0) d = 0.0;  // collapse -0.0 and +0.0
   uint64_t bits;
   static_assert(sizeof(bits) == sizeof(d), "double is 64-bit");
   __builtin_memcpy(&bits, &d, sizeof(bits));
-  return Mix64(bits);
+  return SplitMix64Hash(bits);
 }
 
 /// Distinct-count accumulator: exact up to ColumnStats::kDistinctExact
@@ -131,7 +124,9 @@ ColumnStats ComputeColumnStatsColumnar(const Column& col, size_t n) {
     case DataType::kInt64:
       NumericPass(
           col, n, [&](size_t i) { return static_cast<double>(col.i64[i]); },
-          [&](size_t i) { return Mix64(static_cast<uint64_t>(col.i64[i])); },
+          [&](size_t i) {
+            return SplitMix64Hash(static_cast<uint64_t>(col.i64[i]));
+          },
           &s);
       break;
     case DataType::kDouble:
@@ -142,7 +137,7 @@ ColumnStats ComputeColumnStatsColumnar(const Column& col, size_t n) {
     case DataType::kBool:
       NumericPass(
           col, n, [&](size_t i) { return static_cast<double>(col.b8[i]); },
-          [&](size_t i) { return Mix64(col.b8[i]); }, &s);
+          [&](size_t i) { return SplitMix64Hash(col.b8[i]); }, &s);
       break;
     case DataType::kString: {
       // Satellite: the dictionary is the distinct structure — count used

@@ -15,6 +15,7 @@
 #include "simd/simd.h"
 #include "table/key_index.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace mde::table {
 
@@ -323,13 +324,6 @@ std::shared_ptr<const Column> GatherColumn(const Column& c,
   return AccountColumnBlock(std::move(out));
 }
 
-uint64_t SplitMix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// A key column prepared for hashing: strings get a per-dictionary-code
 /// content hash so keys from tables with different dictionaries agree.
 struct KeyCol {
@@ -386,7 +380,7 @@ void ForEachHashedRow(const std::vector<KeyCol>& ks, const ColumnarBatch& in,
       switch (c.type) {
         case DataType::kInt64:
           mix([&](uint32_t r) {
-            return SplitMix(static_cast<uint64_t>(c.i64[r]));
+            return SplitMix64Hash(static_cast<uint64_t>(c.i64[r]));
           });
           break;
         case DataType::kDouble:
@@ -394,7 +388,7 @@ void ForEachHashedRow(const std::vector<KeyCol>& ks, const ColumnarBatch& in,
             const double d = c.f64[r] == 0.0 ? 0.0 : c.f64[r];
             uint64_t bits;
             std::memcpy(&bits, &d, sizeof(bits));
-            return SplitMix(bits);
+            return SplitMix64Hash(bits);
           });
           break;
         case DataType::kBool:

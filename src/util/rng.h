@@ -9,6 +9,17 @@
 
 namespace mde {
 
+/// SplitMix64's output for state `x`: the golden-ratio step, then the
+/// finalizer. Also the project's cheap, well-mixed 64-bit hash (column
+/// statistics, hash-join and group-by keys); inline because the key-index
+/// hash path calls it once per row.
+inline uint64_t SplitMix64Hash(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64: used to seed Xoshiro state from a single 64-bit seed.
 /// Reference: Vigna, http://prng.di.unimi.it/splitmix64.c.
 class SplitMix64 {
@@ -16,10 +27,9 @@ class SplitMix64 {
   explicit SplitMix64(uint64_t seed) : state_(seed) {}
 
   uint64_t Next() {
-    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const uint64_t z = SplitMix64Hash(state_);
+    state_ += 0x9e3779b97f4a7c15ULL;
+    return z;
   }
 
  private:
@@ -72,6 +82,17 @@ class Rng {
   /// equivalent to seeding then calling Jump() `index` times, but documents
   /// intent at call sites that fan out replications.
   static Rng Substream(uint64_t seed, uint64_t index);
+
+  /// Returns the generator of stream `key` under `seed`, seeded from
+  /// seed ^ (golden + key * 2654435761). Setup is O(1) for any key, but
+  /// the streams are only statistically independent: nothing guarantees
+  /// two never overlap. Use it for one stream per row or per replicate,
+  /// where keys run high and setup cost matters; use Substream, whose
+  /// setup costs `index` jumps, where streams must be disjoint 2^128-draw
+  /// blocks.
+  static Rng Keyed(uint64_t seed, uint64_t key) {
+    return Rng(seed ^ (0x9e3779b97f4a7c15ULL + key * 2654435761ULL));
+  }
 
   /// The four Xoshiro256++ state words. Exporting and re-importing the
   /// state positions a generator exactly where it was — the basis of the

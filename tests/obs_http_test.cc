@@ -768,6 +768,52 @@ TEST(ProfilerTest, CpuSecondsReconcileWithAttribution) {
   EXPECT_LT(est_s, 1.0);
 }
 
+/// Spins under a query scope `depth` calls below the caller. The volatile
+/// read after the recursive call keeps every frame on the stack.
+[[gnu::noinline]] int SpinAtDepth(int depth, uint64_t fp, double seconds) {
+  volatile int frame = depth;
+  if (depth == 0) {
+    obs::QueryScope scope("test.depth", fp);
+    SpinCpu(seconds);
+    return 0;
+  }
+  return SpinAtDepth(depth - 1, fp, seconds) + frame;
+}
+
+TEST(ProfilerTest, DeepStacksAreCutToMaxFramesAndCounted) {
+  obs::Profiler& prof = obs::Profiler::Global();
+  prof.Reset();
+  ASSERT_TRUE(prof.Start(250));
+  constexpr uint64_t kShallowFp = 0x5A11u;
+  constexpr uint64_t kDeepFp = 0xDEE9u;
+
+  const uint64_t truncated0 = prof.samples_truncated();
+  SpinAtDepth(0, kShallowFp, 0.2);
+  const uint64_t truncated1 = prof.samples_truncated();
+  SpinAtDepth(64, kDeepFp, 0.2);
+  const uint64_t truncated2 = prof.samples_truncated();
+  prof.Stop();
+
+  const auto shallow = prof.Collect(0, 0, kShallowFp);
+  ASSERT_GT(shallow.size(), 5u);
+  for (const auto& s : shallow) {
+    EXPECT_LT(s.pcs.size(), obs::Profiler::kMaxFrames);
+  }
+  EXPECT_EQ(truncated1, truncated0) << "a shallow stack is never cut";
+
+  const auto deep = prof.Collect(0, 0, kDeepFp);
+  ASSERT_GT(deep.size(), 5u);
+  for (const auto& s : deep) {
+    EXPECT_EQ(s.pcs.size(), obs::Profiler::kMaxFrames);
+  }
+  EXPECT_GE(truncated2 - truncated1, deep.size());
+
+  // The export surfaces publish the count as a counter.
+  obs::RunSampleHooks();
+  EXPECT_EQ(obs::Registry::Global().counter("prof.truncated")->Value(),
+            prof.samples_truncated());
+}
+
 TEST(ProfilerTest, FoldedOutputWellFormedAndReportable) {
   obs::Profiler& prof = obs::Profiler::Global();
 

@@ -40,7 +40,10 @@ TEST(ObsMetricsTest, ConcurrentCounterHammeringIsExact) {
 TEST(ObsMetricsTest, ConcurrentHistogramHammeringIsExact) {
   obs::Histogram* h = Registry::Global().histogram(
       "test.hammer_histogram", {1.0, 10.0, 100.0});
+  // Deltas from a snapshot, so the test holds under --gtest_repeat.
   const uint64_t before = h->Count();
+  const std::vector<uint64_t> buckets_before = h->BucketCounts();
+  const double sum_before = h->Sum();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
@@ -57,12 +60,13 @@ TEST(ObsMetricsTest, ConcurrentHistogramHammeringIsExact) {
   // 150 -> bucket[3] (+inf). Per thread: 1250 each of the four values.
   const std::vector<uint64_t> buckets = h->BucketCounts();
   ASSERT_EQ(buckets.size(), 4u);
-  EXPECT_EQ(buckets[0], uint64_t{kThreads * 1250});
-  EXPECT_EQ(buckets[1], 0u);
-  EXPECT_EQ(buckets[2], uint64_t{kThreads * 2500});
-  EXPECT_EQ(buckets[3], uint64_t{kThreads * 1250});
+  ASSERT_EQ(buckets_before.size(), 4u);
+  EXPECT_EQ(buckets[0] - buckets_before[0], uint64_t{kThreads * 1250});
+  EXPECT_EQ(buckets[1] - buckets_before[1], 0u);
+  EXPECT_EQ(buckets[2] - buckets_before[2], uint64_t{kThreads * 2500});
+  EXPECT_EQ(buckets[3] - buckets_before[3], uint64_t{kThreads * 1250});
   const double sum = static_cast<double>(kThreads) * 1250.0 * (50 + 100 + 150);
-  EXPECT_DOUBLE_EQ(h->Sum(), sum + 0.0);  // before==0 on first registration
+  EXPECT_DOUBLE_EQ(h->Sum() - sum_before, sum);
 }
 
 TEST(ObsMetricsTest, GaugeHoldsLastWrite) {

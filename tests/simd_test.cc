@@ -6,9 +6,11 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "mcdb/bundle.h"
+#include "obs/metrics.h"
 #include "table/vec_ops.h"
 #include "util/aligned.h"
 #include "util/distributions.h"
@@ -36,7 +38,6 @@ static_assert(simd::kRngBatch == 64);
 std::vector<Tier> AvailableTiers() {
   std::vector<Tier> tiers = {Tier::kScalar};
   const int best = static_cast<int>(simd::BestSupportedTier());
-  if (best >= static_cast<int>(Tier::kSse4)) tiers.push_back(Tier::kSse4);
   if (best >= static_cast<int>(Tier::kAvx2)) tiers.push_back(Tier::kAvx2);
   if (best >= static_cast<int>(Tier::kAvx512)) tiers.push_back(Tier::kAvx512);
   return tiers;
@@ -76,7 +77,6 @@ bool BitEq(double a, double b) {
 
 TEST(SimdDispatchTest, TierNamesAndClamping) {
   EXPECT_STREQ(simd::TierName(Tier::kScalar), "scalar");
-  EXPECT_STREQ(simd::TierName(Tier::kSse4), "sse4");
   EXPECT_STREQ(simd::TierName(Tier::kAvx2), "avx2");
   EXPECT_STREQ(simd::TierName(Tier::kAvx512), "avx512");
   // Requesting more than the hardware supports clamps.
@@ -85,6 +85,40 @@ TEST(SimdDispatchTest, TierNamesAndClamping) {
             static_cast<int>(simd::BestSupportedTier()));
   simd::SetTier(Tier::kScalar);
   EXPECT_EQ(simd::ActiveTier(), Tier::kScalar);
+  simd::SetTier(simd::BestSupportedTier());
+}
+
+TEST(SimdDispatchTest, ParseTierMapsEveryNameAndTheGaugeKeepsItsValues) {
+  for (Tier t : {Tier::kScalar, Tier::kAvx2, Tier::kAvx512}) {
+    Tier parsed = t == Tier::kScalar ? Tier::kAvx2 : Tier::kScalar;
+    ASSERT_TRUE(simd::ParseTier(simd::TierName(t), &parsed))
+        << simd::TierName(t);
+    EXPECT_EQ(parsed, t) << simd::TierName(t);
+  }
+  // The retired SSE4.2 tier's names select scalar, not the best tier.
+  for (const char* legacy : {"sse4", "sse4.2", "sse42"}) {
+    Tier parsed = Tier::kAvx512;
+    ASSERT_TRUE(simd::ParseTier(legacy, &parsed)) << legacy;
+    EXPECT_EQ(parsed, Tier::kScalar) << legacy;
+  }
+  for (const char* bad : {"", "AVX2", "avx", "sse2", "avx512f", "scalar "}) {
+    Tier parsed = Tier::kAvx2;
+    EXPECT_FALSE(simd::ParseTier(bad, &parsed)) << '"' << bad << '"';
+    EXPECT_EQ(parsed, Tier::kAvx2) << "a rejected name leaves *out alone";
+  }
+
+  // simd.tier reports the tier's numeric value; 1 (the SSE4.2 tier) is
+  // retired, so dashboards reading 0/2/3 keep their meaning.
+  const obs::Gauge* gauge = obs::Registry::Global().gauge("simd.tier");
+  const std::pair<Tier, double> kGaugeValues[] = {
+      {Tier::kScalar, 0.0}, {Tier::kAvx2, 2.0}, {Tier::kAvx512, 3.0}};
+  for (const auto& [t, value] : kGaugeValues) {
+    if (static_cast<int>(t) > static_cast<int>(simd::BestSupportedTier())) {
+      continue;
+    }
+    simd::SetTier(t);
+    EXPECT_EQ(gauge->Value(), value) << simd::TierName(t);
+  }
   simd::SetTier(simd::BestSupportedTier());
 }
 
@@ -201,21 +235,15 @@ TEST(SimdKernelTest, BitmapWordOpsMatchScalarOnEveryTier) {
       b[i] = rng.Next();
     }
     uint64_t pop_ref = 0;
-    std::vector<uint64_t> and_ref(nwords), or_ref(nwords), andnot_ref(nwords);
+    std::vector<uint64_t> and_ref(nwords);
     for (size_t i = 0; i < nwords; ++i) {
       and_ref[i] = a[i] & b[i];
-      or_ref[i] = a[i] | b[i];
-      andnot_ref[i] = a[i] & ~b[i];
       pop_ref += static_cast<uint64_t>(std::popcount(a[i]));
     }
     ForEachTier([&](Tier t) {
       std::vector<uint64_t> out(nwords);
       simd::AndWords(a.data(), b.data(), nwords, out.data());
       ASSERT_EQ(out, and_ref) << simd::TierName(t);
-      simd::OrWords(a.data(), b.data(), nwords, out.data());
-      ASSERT_EQ(out, or_ref) << simd::TierName(t);
-      simd::AndNotWords(a.data(), b.data(), nwords, out.data());
-      ASSERT_EQ(out, andnot_ref) << simd::TierName(t);
       ASSERT_EQ(simd::PopcountWords(a.data(), nwords), pop_ref)
           << simd::TierName(t);
     });
@@ -378,58 +406,6 @@ TEST(SimdKernelTest, AffineMapMatchesScalarBitwiseAndAllowsInPlace) {
       }
     });
   }
-}
-
-TEST(SimdKernelTest, ReductionsMatchScalarBitwiseOnEveryTier) {
-  for (size_t n : kLens) {
-    const std::vector<double> x = RandomDoubles(n, 0xbbb + n, false);
-    simd::SetTier(Tier::kScalar);
-    const double sum_ref = simd::SumF64(x.data(), n);
-    const double min_ref = simd::MinF64(x.data(), n);
-    const double max_ref = simd::MaxF64(x.data(), n);
-    if (n == 0) {
-      EXPECT_EQ(sum_ref, 0.0);
-      EXPECT_EQ(min_ref, std::numeric_limits<double>::infinity());
-      EXPECT_EQ(max_ref, -std::numeric_limits<double>::infinity());
-    }
-    ForEachTier([&](Tier t) {
-      ASSERT_TRUE(BitEq(simd::SumF64(x.data(), n), sum_ref))
-          << simd::TierName(t) << " n=" << n;
-      ASSERT_TRUE(BitEq(simd::MinF64(x.data(), n), min_ref))
-          << simd::TierName(t) << " n=" << n;
-      ASSERT_TRUE(BitEq(simd::MaxF64(x.data(), n), max_ref))
-          << simd::TierName(t) << " n=" << n;
-    });
-  }
-  // NaN handling is the vminpd/vmaxpd rule (acc = acc < x ? acc : x): a NaN
-  // survives only while it is the newer operand. Cross-tier results must
-  // still agree bit for bit on NaN-laden data...
-  for (size_t n : kLens) {
-    const std::vector<double> x = RandomDoubles(n, 0xccc + n, true);
-    simd::SetTier(Tier::kScalar);
-    const double sum_ref = simd::SumF64(x.data(), n);
-    const double min_ref = simd::MinF64(x.data(), n);
-    const double max_ref = simd::MaxF64(x.data(), n);
-    ForEachTier([&](Tier t) {
-      ASSERT_TRUE(BitEq(simd::SumF64(x.data(), n), sum_ref))
-          << simd::TierName(t) << " n=" << n;
-      ASSERT_TRUE(BitEq(simd::MinF64(x.data(), n), min_ref))
-          << simd::TierName(t) << " n=" << n;
-      ASSERT_TRUE(BitEq(simd::MaxF64(x.data(), n), max_ref))
-          << simd::TierName(t) << " n=" << n;
-    });
-  }
-  // ...and a NaN that is the last element of lane 3 provably reaches the
-  // result through the (l0+l1)+(l2+l3)-shaped combine on every tier.
-  std::vector<double> withnan = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
-                                 std::numeric_limits<double>::quiet_NaN(),
-                                 9.0};
-  ForEachTier([&](Tier t) {
-    EXPECT_TRUE(std::isnan(simd::MinF64(withnan.data(), withnan.size())))
-        << simd::TierName(t);
-    EXPECT_TRUE(std::isnan(simd::MaxF64(withnan.data(), withnan.size())))
-        << simd::TierName(t);
-  });
 }
 
 TEST(SimdKernelTest, RngAndVariateBlocksIdenticalAcrossTiers) {

@@ -50,7 +50,7 @@ int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [--engine dsgd|mc|simsql|pf|wildfire|all] [--fault-frac F]"
                " [--threads N] [--mode manual|inject|both]"
-               " [--ckpt-tier scalar|sse4|avx2|avx512]\n"
+               " [--ckpt-tier scalar|avx2|avx512]\n"
                "  --ckpt-tier runs the pre-kill half of the manual mode "
                "under the given\n  SIMD tier and the restore+finish under "
                "the session tier, verifying that\n  checkpoints written on "
@@ -297,21 +297,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--ckpt-tier") {
       const char* v = next();
       if (v == nullptr) return Usage(argv[0]);
-      const std::string tier_name = v;
-      if (tier_name == "scalar") {
-        ckpt_tier = mde::simd::Tier::kScalar;
-      } else if (tier_name == "sse4") {
-        ckpt_tier = mde::simd::Tier::kSse4;
-      } else if (tier_name == "avx2") {
-        ckpt_tier = mde::simd::Tier::kAvx2;
-      } else if (tier_name == "avx512") {
-        ckpt_tier = mde::simd::Tier::kAvx512;
-      } else {
-        return Usage(argv[0]);
-      }
+      if (!mde::simd::ParseTier(v, &ckpt_tier)) return Usage(argv[0]);
       if (static_cast<int>(ckpt_tier) >
           static_cast<int>(mde::simd::BestSupportedTier())) {
-        std::cerr << "--ckpt-tier " << tier_name
+        std::cerr << "--ckpt-tier " << v
                   << " not supported on this machine\n";
         return 1;
       }
