@@ -134,7 +134,7 @@ class TraceDump {
   ~TraceDump() {
     if (path_.empty()) return;
     std::ofstream out(path_);
-    mde::obs::Tracer::Global().WriteChromeTrace(out);
+    out << mde::obs::Tracer::Global().ChromeTraceJson();
   }
 
  private:

@@ -32,10 +32,8 @@ bool AttrEnabledDefault() {
 std::atomic<bool> g_attr_enabled{AttrEnabledDefault()};
 
 void ZeroStats(QueryStats& q) {
-  for (std::atomic<uint64_t>* f :
-       {&q.cpu_ns, &q.tasks, &q.spans, &q.rows_in, &q.rows_out, &q.vg_draws,
-        &q.bundle_bytes, &q.cache_hits}) {
-    f->store(0, std::memory_order_relaxed);
+  for (const QueryField& f : kQueryFields) {
+    (q.*f.stat).store(0, std::memory_order_relaxed);
   }
 }
 
@@ -264,14 +262,9 @@ std::vector<AttributionTable::Row> AttributionTable::Snapshot() const {
       Row r;
       r.fingerprint = fp;
       r.tag = e->tag;
-      r.cpu_ns = e->stats.cpu_ns.load(std::memory_order_relaxed);
-      r.tasks = e->stats.tasks.load(std::memory_order_relaxed);
-      r.spans = e->stats.spans.load(std::memory_order_relaxed);
-      r.rows_in = e->stats.rows_in.load(std::memory_order_relaxed);
-      r.rows_out = e->stats.rows_out.load(std::memory_order_relaxed);
-      r.vg_draws = e->stats.vg_draws.load(std::memory_order_relaxed);
-      r.bundle_bytes = e->stats.bundle_bytes.load(std::memory_order_relaxed);
-      r.cache_hits = e->stats.cache_hits.load(std::memory_order_relaxed);
+      for (const QueryField& f : kQueryFields) {
+        r.*f.count = (e->stats.*f.stat).load(std::memory_order_relaxed);
+      }
       rows.push_back(std::move(r));
     }
   }

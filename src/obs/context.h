@@ -46,19 +46,40 @@
 /// change any engine output.
 namespace mde::obs {
 
+/// The per-query attribution fields, in declaration and export order. The
+/// accumulator, its snapshot row and every writer and reader of a row (the
+/// Prometheus families, the JSONL sampler, /queryz, mde_report) are
+/// generated from or iterate this one list.
+#define MDE_OBS_QUERY_FIELDS(X)                                      \
+  X(cpu_ns) X(tasks) X(spans) X(rows_in) X(rows_out) X(vg_draws)     \
+  X(bundle_bytes) X(cache_hits)
+
 /// Per-query resource accumulator. Stable address for the process lifetime
 /// (slots are recycled on eviction, never freed); fields are relaxed
 /// atomics so any worker can add without coordination.
 struct QueryStats {
-  std::atomic<uint64_t> cpu_ns{0};
-  std::atomic<uint64_t> tasks{0};
-  std::atomic<uint64_t> spans{0};
-  std::atomic<uint64_t> rows_in{0};
-  std::atomic<uint64_t> rows_out{0};
-  std::atomic<uint64_t> vg_draws{0};
-  std::atomic<uint64_t> bundle_bytes{0};
-  std::atomic<uint64_t> cache_hits{0};
+#define MDE_OBS_QUERY_STAT(f) std::atomic<uint64_t> f{0};
+  MDE_OBS_QUERY_FIELDS(MDE_OBS_QUERY_STAT)
+#undef MDE_OBS_QUERY_STAT
 };
+
+/// A QueryStats read out as plain values.
+struct QueryCounts {
+#define MDE_OBS_QUERY_COUNT(f) uint64_t f = 0;
+  MDE_OBS_QUERY_FIELDS(MDE_OBS_QUERY_COUNT)
+#undef MDE_OBS_QUERY_COUNT
+};
+
+/// One attribution field: its export name and its member in both forms.
+struct QueryField {
+  const char* name;
+  std::atomic<uint64_t> QueryStats::*stat;
+  uint64_t QueryCounts::*count;
+};
+#define MDE_OBS_QUERY_FIELD(f) QueryField{#f, &QueryStats::f, &QueryCounts::f},
+inline constexpr QueryField kQueryFields[] = {
+    MDE_OBS_QUERY_FIELDS(MDE_OBS_QUERY_FIELD)};
+#undef MDE_OBS_QUERY_FIELD
 
 /// The causal context: who is asking. `trace_id` groups every span of one
 /// query across all workers; `span_id` is the innermost open span on the
@@ -172,17 +193,9 @@ class AttributionTable {
   QueryStats* Acquire(uint64_t fingerprint, const char* tag);
 
   /// One exported row (counters read relaxed at snapshot time).
-  struct Row {
+  struct Row : QueryCounts {
     uint64_t fingerprint = 0;
     std::string tag;
-    uint64_t cpu_ns = 0;
-    uint64_t tasks = 0;
-    uint64_t spans = 0;
-    uint64_t rows_in = 0;
-    uint64_t rows_out = 0;
-    uint64_t vg_draws = 0;
-    uint64_t bundle_bytes = 0;
-    uint64_t cache_hits = 0;
   };
   /// All live entries, highest cpu-ns first.
   std::vector<Row> Snapshot() const;

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "obs/context.h"
@@ -48,21 +46,15 @@ std::string EscapeLabelValue(const std::string& s) {
   return out;
 }
 
-/// Round-trip double formatting: enough digits that parsing the text
-/// recovers the exact bit pattern (integers render without a point).
+/// Round-trip double formatting: the JSON writer's digits, so parsing the
+/// text recovers the exact bit pattern (integers render without a point),
+/// and the exposition format's spellings of the non-finite values.
 std::string RoundTrip(double v) {
-  std::ostringstream os;
-  os << std::setprecision(std::numeric_limits<double>::max_digits10) << v;
-  return os.str();
-}
-
-/// JSON has no Inf/NaN literals; non-finite values serialize as null.
-void JsonNumber(double v, std::ostream& os) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  std::string out;
+  JsonNumber(v, [&out](char c) { out.push_back(c); });
+  return out;
 }
 
 const char* PrometheusKindName(MetricSnapshot::Kind kind) {
@@ -178,30 +170,29 @@ std::string AttributionText() {
   // One labeled sample per (query, field). Label values: the fingerprint in
   // hex and the entry-point tag; tags are literals like "table.query", but
   // escape anyway per the exposition grammar.
-  struct Field {
-    const char* name;
-    uint64_t AttributionTable::Row::*member;
-  };
-  static constexpr Field kFields[] = {
-      {"mde_query_cpu_ns", &AttributionTable::Row::cpu_ns},
-      {"mde_query_tasks", &AttributionTable::Row::tasks},
-      {"mde_query_spans", &AttributionTable::Row::spans},
-      {"mde_query_rows_in", &AttributionTable::Row::rows_in},
-      {"mde_query_rows_out", &AttributionTable::Row::rows_out},
-      {"mde_query_vg_draws", &AttributionTable::Row::vg_draws},
-      {"mde_query_bundle_bytes", &AttributionTable::Row::bundle_bytes},
-      {"mde_query_cache_hits", &AttributionTable::Row::cache_hits},
-  };
   std::ostringstream os;
-  for (const Field& f : kFields) {
-    os << "# TYPE " << f.name << " counter\n";
+  for (const QueryField& f : kQueryFields) {
+    os << "# TYPE mde_query_" << f.name << " counter\n";
     for (const AttributionTable::Row& r : rows) {
-      os << f.name << "{query=\"" << FingerprintHex(r.fingerprint)
-         << "\",tag=\"" << EscapeLabelValue(r.tag) << "\"} " << r.*f.member
-         << "\n";
+      os << "mde_query_" << f.name << "{query=\""
+         << FingerprintHex(r.fingerprint) << "\",tag=\""
+         << EscapeLabelValue(r.tag) << "\"} " << r.*f.count << "\n";
     }
   }
   return os.str();
+}
+
+std::string QueryRowJson(const AttributionTable::Row& row) {
+  std::string out = "\"tag\":\"";
+  JsonEscape(row.tag, [&out](char c) { out.push_back(c); });
+  out.push_back('"');
+  for (const QueryField& f : kQueryFields) {
+    out += ",\"";
+    out += f.name;
+    out += "\":";
+    out += std::to_string(row.*f.count);
+  }
+  return out;
 }
 
 namespace {
@@ -325,14 +316,19 @@ void Sampler::Loop() {
 void Sampler::WriteSample(double t_ms) {
   if (!out_.is_open()) return;
   RunSampleHooks();
-  if (options_.include_process_memory) PublishProcessMemoryGauges();
+  const ProcessMemory mem = SampleProcessMemory();
+  if (mem.ok) {
+    Registry& r = Registry::Global();
+    r.gauge("obs.mem.rss_kb")->Set(static_cast<double>(mem.rss_kb));
+    r.gauge("obs.mem.peak_rss_kb")->Set(static_cast<double>(mem.peak_rss_kb));
+  }
   std::vector<MetricSnapshot> snapshot = Registry::Global().Snapshot();
   AppendDerivedGauges(&snapshot);
 
   std::ostringstream os;
-  const auto escaped = [&os](char c) { os.put(c); };
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "{\"t_ms\":" << t_ms;
+  const auto put = [&os](char c) { os.put(c); };
+  os << "{\"t_ms\":";
+  JsonNumber(t_ms, put);
 
   os << ",\"counters\":{";
   bool first = true;
@@ -341,11 +337,8 @@ void Sampler::WriteSample(double t_ms) {
     auto [it, inserted] = last_counters_.try_emplace(m.name, 0.0);
     const double delta = m.value - it->second;
     it->second = m.value;
-    if (!first) os << ",";
-    first = false;
-    os << "\"";
-    JsonEscape(m.name, escaped);
-    os << "\":{\"v\":" << static_cast<uint64_t>(m.value)
+    JsonKey(m.name, &first, put);
+    os << "{\"v\":" << static_cast<uint64_t>(m.value)
        << ",\"d\":" << static_cast<uint64_t>(delta < 0.0 ? 0.0 : delta)
        << "}";
   }
@@ -353,27 +346,20 @@ void Sampler::WriteSample(double t_ms) {
   first = true;
   for (const MetricSnapshot& m : snapshot) {
     if (m.kind != MetricSnapshot::Kind::kGauge) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "\"";
-    JsonEscape(m.name, escaped);
-    os << "\":";
-    JsonNumber(m.value, os);
+    JsonKey(m.name, &first, put);
+    JsonNumber(m.value, put);
   }
   os << "},\"hist\":{";
   first = true;
   for (const MetricSnapshot& m : snapshot) {
     if (m.kind != MetricSnapshot::Kind::kHistogram) continue;
-    if (!first) os << ",";
-    first = false;
-    os << "\"";
-    JsonEscape(m.name, escaped);
-    os << "\":{\"count\":" << m.count << ",\"sum\":";
-    JsonNumber(m.value, os);
+    JsonKey(m.name, &first, put);
+    os << "{\"count\":" << m.count << ",\"sum\":";
+    JsonNumber(m.value, put);
     os << ",\"bounds\":[";
     for (size_t b = 0; b < m.bounds.size(); ++b) {
       if (b > 0) os << ",";
-      os << m.bounds[b];
+      JsonNumber(m.bounds[b], put);
     }
     os << "],\"buckets\":[";
     for (size_t b = 0; b < m.buckets.size(); ++b) {
@@ -392,19 +378,11 @@ void Sampler::WriteSample(double t_ms) {
     os << ",\"queries\":{";
     first = true;
     for (const AttributionTable::Row& q : queries) {
-      if (!first) os << ",";
-      first = false;
-      os << "\"" << FingerprintHex(q.fingerprint) << "\":{\"tag\":\"";
-      JsonEscape(q.tag, escaped);
-      os << "\",\"cpu_ns\":" << q.cpu_ns << ",\"tasks\":" << q.tasks
-         << ",\"spans\":" << q.spans << ",\"rows_in\":" << q.rows_in
-         << ",\"rows_out\":" << q.rows_out << ",\"vg_draws\":" << q.vg_draws
-         << ",\"bundle_bytes\":" << q.bundle_bytes
-         << ",\"cache_hits\":" << q.cache_hits << "}";
+      JsonKey(FingerprintHex(q.fingerprint), &first, put);
+      os << "{" << QueryRowJson(q) << "}";
     }
     os << "}";
   }
-  const ProcessMemory mem = SampleProcessMemory();
   if (mem.ok) {
     os << ",\"mem\":{\"rss_kb\":" << mem.rss_kb
        << ",\"peak_rss_kb\":" << mem.peak_rss_kb << "}";

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/context.h"
 #include "obs/metrics.h"
 
 /// Export surface of the metrics registry: standard-format rendering for
@@ -69,10 +70,14 @@ std::string BuildInfoText();
 ///
 ///   mde_query_cpu_ns{query="0x9a...",tag="table.query"} 1234567
 ///
-/// One family per QueryStats field (cpu_ns, tasks, spans, rows_in,
-/// rows_out, vg_draws, bundle_bytes, cache_hits); empty table renders
+/// One family per kQueryFields entry (obs/context.h); empty table renders
 /// nothing.
 std::string AttributionText();
+
+/// One attribution row as JSON object members, `"tag":"...","cpu_ns":N,...`
+/// in kQueryFields order: the body of a /queryz row and of a JSONL
+/// `queries` entry.
+std::string QueryRowJson(const AttributionTable::Row& row);
 
 /// Sample hooks run immediately before each export surface snapshots the
 /// registry (every Sampler tick and every no-arg PrometheusText call), so
@@ -104,12 +109,11 @@ void AppendDerivedGauges(std::vector<MetricSnapshot>* snapshot);
 /// Buckets are per-bucket (not cumulative) counts, `bounds`-aligned with
 /// one trailing +inf bucket — enough for the run-report tool to
 /// interpolate p50/p90/p99 from any single line.
+/// Each tick also samples /proc/self/status and publishes the
+/// obs.mem.rss_kb/peak_rss_kb gauges.
 struct SamplerOptions {
   std::string path;
   std::chrono::milliseconds period{100};
-  /// Sample /proc/self/status and publish obs.mem.rss_kb/peak_rss_kb
-  /// gauges each tick.
-  bool include_process_memory = true;
 };
 
 /// Background registry sampler: a thread that appends one JSONL record per

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <charconv>
 #include <csignal>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <vector>
@@ -300,29 +299,20 @@ std::string FlightRecorder::RenderJson(const std::string& reason) const {
     w.Put(',');
     WriteSlotSections(w, /*sorted=*/true);
     w.Raw(",\"counters\":{");
+    const auto put = [&w](char c) { w.Put(c); };
     const std::vector<MetricSnapshot> snapshot = Registry::Global().Snapshot();
     bool first = true;
     for (const MetricSnapshot& m : snapshot) {
       if (m.kind != MetricSnapshot::Kind::kCounter) continue;
-      if (!first) w.Put(',');
-      first = false;
-      w.Put('"');
-      w.Escaped(m.name.c_str());
-      w.Raw("\":");
+      JsonKey(m.name, &first, put);
       w.Num(static_cast<uint64_t>(m.value));
     }
     w.Raw("},\"gauges\":{");
     first = true;
     for (const MetricSnapshot& m : snapshot) {
       if (m.kind != MetricSnapshot::Kind::kGauge) continue;
-      if (!first) w.Put(',');
-      first = false;
-      w.Put('"');
-      w.Escaped(m.name.c_str());
-      w.Raw("\":");
-      char buf[40];
-      std::snprintf(buf, sizeof(buf), "%.17g", m.value);
-      w.Raw(buf);
+      JsonKey(m.name, &first, put);
+      JsonNumber(m.value, put);
     }
     w.Raw("}}}\n");
   }

@@ -9,7 +9,6 @@
 #include "obs/context.h"
 #include "obs/export.h"
 #include "obs/flight.h"
-#include "obs/json.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
@@ -275,26 +274,31 @@ std::string RenderQueryzHtml() {
       "<!doctype html><html><head><title>mde /queryz</title></head><body>"
       "<h1>Per-query attribution</h1>"
       "<p><a href=\"/queryz?format=json\">json</a></p>"
-      "<table border=\"1\" cellpadding=\"4\"><tr><th>query</th><th>tag</th>"
-      "<th>cpu_ms</th><th>tasks</th><th>spans</th><th>rows_in</th>"
-      "<th>rows_out</th><th>vg_draws</th><th>bundle_bytes</th>"
-      "<th>cache_hits</th></tr>";
+      "<table border=\"1\" cellpadding=\"4\"><tr><th>query</th><th>tag</th>";
+  // cpu_ns shows as milliseconds; every other field as its count.
+  for (const QueryField& f : kQueryFields) {
+    out += "<th>";
+    out += f.count == &QueryCounts::cpu_ns ? "cpu_ms" : f.name;
+    out += "</th>";
+  }
+  out += "</tr>";
   for (const AttributionTable::Row& r : rows) {
-    char cpu_ms[32];
-    std::snprintf(cpu_ms, sizeof(cpu_ms), "%.3f",
-                  static_cast<double>(r.cpu_ns) * 1e-6);
     out += "<tr><td><a href=\"/profilez?seconds=2&amp;query=";
     out += FingerprintHex(r.fingerprint);
     out += "\">";
     out += FingerprintHex(r.fingerprint);
     out += "</a></td><td>";
     HtmlEscapeInto(r.tag, &out);
-    out += "</td><td>";
-    out += cpu_ms;
-    for (uint64_t v : {r.tasks, r.spans, r.rows_in, r.rows_out, r.vg_draws,
-                       r.bundle_bytes, r.cache_hits}) {
+    for (const QueryField& f : kQueryFields) {
       out += "</td><td>";
-      out += std::to_string(v);
+      if (f.count == &QueryCounts::cpu_ns) {
+        char cpu_ms[32];
+        std::snprintf(cpu_ms, sizeof(cpu_ms), "%.3f",
+                      static_cast<double>(r.cpu_ns) * 1e-6);
+        out += cpu_ms;
+      } else {
+        out += std::to_string(r.*f.count);
+      }
     }
     out += "</td></tr>";
   }
@@ -310,27 +314,8 @@ std::string RenderQueryzJson() {
   for (const AttributionTable::Row& r : rows) {
     if (!first) out.push_back(',');
     first = false;
-    out += "{\"query\":\"";
-    out += FingerprintHex(r.fingerprint);
-    out += "\",\"tag\":\"";
-    JsonEscape(r.tag, [&out](char c) { out.push_back(c); });
-    out += "\",\"cpu_ns\":";
-    out += std::to_string(r.cpu_ns);
-    out += ",\"tasks\":";
-    out += std::to_string(r.tasks);
-    out += ",\"spans\":";
-    out += std::to_string(r.spans);
-    out += ",\"rows_in\":";
-    out += std::to_string(r.rows_in);
-    out += ",\"rows_out\":";
-    out += std::to_string(r.rows_out);
-    out += ",\"vg_draws\":";
-    out += std::to_string(r.vg_draws);
-    out += ",\"bundle_bytes\":";
-    out += std::to_string(r.bundle_bytes);
-    out += ",\"cache_hits\":";
-    out += std::to_string(r.cache_hits);
-    out += "}";
+    out += "{\"query\":\"" + FingerprintHex(r.fingerprint) + "\"," +
+           QueryRowJson(r) + "}";
   }
   out += "]}";
   return out;
@@ -504,13 +489,13 @@ void DiagServer::HandleConnection(int fd) {
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
   MDE_OBS_COUNT("http.requests", 1);
-  const Response resp = Route(req);
+  const DiagPage resp = Route(req);
   if (resp.status != 200) MDE_OBS_COUNT("http.errors", 1);
   SendResponse(fd, resp.status, resp.content_type, resp.body);
 }
 
-DiagServer::Response DiagServer::Route(const Request& req) {
-  Response resp;
+DiagPage DiagServer::Route(const Request& req) {
+  DiagPage resp;
   if (req.method != "GET" && req.method != "HEAD") {
     resp.status = 400;
     resp.body = "only GET is served here\n";
@@ -540,11 +525,6 @@ DiagServer::Response DiagServer::Route(const Request& req) {
       resp.body = Tracer::Global().ChromeTraceJson();
     } else {
       resp.body = Tracer::Global().FlameSummary();
-      if (resp.body.empty()) {
-        resp.body =
-            "(no spans retained; tracing is off — the tracer only records "
-            "when enabled)\n";
-      }
     }
   } else if (req.path == "/flightz") {
     resp.content_type = "application/json";
@@ -591,10 +571,7 @@ DiagServer::Response DiagServer::Route(const Request& req) {
       }
     }
     if (handler) {
-      const DiagPage page = handler(req.query);
-      resp.status = page.status;
-      resp.content_type = page.content_type;
-      resp.body = page.body;
+      resp = handler(req.query);
     } else {
       resp.status = 404;
       resp.body = "not found\n";

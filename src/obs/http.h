@@ -120,16 +120,11 @@ class DiagServer {
     /// First value of `key` in the query string ("" when absent).
     std::string Param(const std::string& key) const;
   };
-  struct Response {
-    int status = 200;
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
-  };
 
   void AcceptLoop();
   void HandlerLoop();
   void HandleConnection(int fd);
-  Response Route(const Request& req);
+  DiagPage Route(const Request& req);
 
   std::atomic<bool> running_{false};
   std::atomic<int> port_{0};

@@ -19,16 +19,6 @@ std::string PoolCounterName(const char* pool, const char* leaf) {
 
 }  // namespace
 
-void RecordAlloc(const char* pool, uint64_t bytes) {
-  if (bytes == 0) return;
-  Registry::Global().counter(PoolCounterName(pool, "alloc_bytes"))->Add(bytes);
-}
-
-void RecordFree(const char* pool, uint64_t bytes) {
-  if (bytes == 0) return;
-  Registry::Global().counter(PoolCounterName(pool, "freed_bytes"))->Add(bytes);
-}
-
 MemPool::MemPool(const char* pool) {
   Registry& r = Registry::Global();
   alloc_ = r.counter(PoolCounterName(pool, "alloc_bytes"));
@@ -69,14 +59,6 @@ ProcessMemory SampleProcessMemory() {
   }
   std::fclose(f);
   return mem;
-}
-
-void PublishProcessMemoryGauges() {
-  const ProcessMemory mem = SampleProcessMemory();
-  if (!mem.ok) return;
-  Registry& r = Registry::Global();
-  r.gauge("obs.mem.rss_kb")->Set(static_cast<double>(mem.rss_kb));
-  r.gauge("obs.mem.peak_rss_kb")->Set(static_cast<double>(mem.peak_rss_kb));
 }
 
 }  // namespace mde::obs

@@ -23,14 +23,8 @@ namespace mde::obs {
 
 class Counter;
 
-/// Reports `bytes` allocated into / freed from pool `pool` (a short literal
-/// like "table.columnar" or "mcdb.bundle"). The metric handles are resolved
-/// through the registry on every call — fine for occasional events; hot
-/// call sites should hold a MemPool instead.
-void RecordAlloc(const char* pool, uint64_t bytes);
-void RecordFree(const char* pool, uint64_t bytes);
-
-/// Pre-resolved handle to one pool's counter pair: the registry lookup
+/// Pre-resolved handle to one pool's counter pair (`pool` is a short
+/// literal like "table.columnar" or "mcdb.bundle"): the registry lookup
 /// (mutex + map + string building) happens once at construction, so each
 /// report is just a relaxed fetch_add on a sharded cell. Construct it as a
 /// function-local static (pool names are literals at the call sites).
@@ -112,11 +106,6 @@ struct ProcessMemory {
   bool ok = false;
 };
 ProcessMemory SampleProcessMemory();
-
-/// Samples process memory and publishes `obs.mem.rss_kb` /
-/// `obs.mem.peak_rss_kb` gauges (no-op when /proc is unavailable). The
-/// Sampler in obs/export.h calls this once per tick.
-void PublishProcessMemoryGauges();
 
 }  // namespace mde::obs
 

@@ -1,10 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstring>
-#include <iomanip>
-#include <limits>
-#include <sstream>
+#include <bit>
 
 namespace mde::obs {
 
@@ -23,17 +20,9 @@ size_t ThisThreadShard() {
 }
 }  // namespace internal
 
-uint64_t Gauge::ToBits(double v) {
-  uint64_t b;
-  std::memcpy(&b, &v, sizeof(b));
-  return b;
-}
+uint64_t Gauge::ToBits(double v) { return std::bit_cast<uint64_t>(v); }
 
-double Gauge::FromBits(uint64_t b) {
-  double v;
-  std::memcpy(&v, &b, sizeof(v));
-  return v;
-}
+double Gauge::FromBits(uint64_t b) { return std::bit_cast<double>(b); }
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), shards_(kMetricShards) {
@@ -51,16 +40,9 @@ void Histogram::Observe(double v) {
   // Accumulate the double sum with a CAS loop on the shard's bit cell;
   // contention is already divided across shards.
   uint64_t old = s.sum_bits.load(std::memory_order_relaxed);
-  while (true) {
-    double d;
-    std::memcpy(&d, &old, sizeof(d));
-    d += v;
-    uint64_t desired;
-    std::memcpy(&desired, &d, sizeof(desired));
-    if (s.sum_bits.compare_exchange_weak(old, desired,
-                                         std::memory_order_relaxed)) {
-      break;
-    }
+  while (!s.sum_bits.compare_exchange_weak(
+      old, std::bit_cast<uint64_t>(std::bit_cast<double>(old) + v),
+      std::memory_order_relaxed)) {
   }
 }
 
@@ -85,10 +67,7 @@ uint64_t Histogram::Count() const {
 double Histogram::Sum() const {
   double total = 0.0;
   for (const auto& s : shards_) {
-    const uint64_t b = s.sum_bits.load(std::memory_order_relaxed);
-    double d;
-    std::memcpy(&d, &b, sizeof(d));
-    total += d;
+    total += std::bit_cast<double>(s.sum_bits.load(std::memory_order_relaxed));
   }
   return total;
 }
@@ -173,27 +152,6 @@ std::vector<MetricSnapshot> Registry::Snapshot() const {
               return a.name < b.name;
             });
   return out;
-}
-
-std::string Registry::TextDump() const {
-  std::ostringstream os;
-  // Round-trip precision: parsing a dumped gauge back recovers the exact
-  // stored double (default ostream precision truncates to 6 digits).
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (const MetricSnapshot& m : Snapshot()) {
-    switch (m.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        os << m.name << " " << static_cast<uint64_t>(m.value) << "\n";
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        os << m.name << " " << m.value << "\n";
-        break;
-      case MetricSnapshot::Kind::kHistogram:
-        os << m.name << " count=" << m.count << " sum=" << m.value << "\n";
-        break;
-    }
-  }
-  return os.str();
 }
 
 }  // namespace mde::obs

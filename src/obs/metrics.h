@@ -134,8 +134,6 @@ class Registry {
 
   /// All metrics, sorted by name.
   std::vector<MetricSnapshot> Snapshot() const;
-  /// Human-readable "name value" dump, one metric per line, sorted.
-  std::string TextDump() const;
 
  private:
   Registry() = default;

@@ -11,7 +11,10 @@
 #include <sstream>
 #include <utility>
 
+#include "obs/context.h"
+#include "obs/metrics.h"
 #include "obs/stat.h"
+#include "obs/trace.h"
 
 namespace mde::obs {
 
@@ -41,6 +44,11 @@ struct Json {
   }
   double NumOr(double def) const {
     return type == Type::kNumber ? num : def;
+  }
+  /// The number at `key`, 0 when absent or not a number.
+  double Num(const std::string& key) const {
+    const Json* v = Get(key);
+    return v != nullptr ? v->NumOr(0.0) : 0.0;
   }
 };
 
@@ -215,33 +223,20 @@ class JsonParser {
 // Report model.
 // ---------------------------------------------------------------------------
 
-struct SpanAgg {
-  uint64_t calls = 0;
-  double incl_us = 0.0;
-  double self_us = 0.0;
-};
-
-struct HistFinal {
-  uint64_t count = 0;
-  double sum = 0.0;
-  std::vector<double> bounds;
-  std::vector<uint64_t> buckets;
-};
-
 /// One row of the per-query attribution table (obs/context.h), as sampled
 /// into the JSONL "queries" object. Fields are cumulative, so the last
 /// sample wins.
 struct QueryAgg {
   std::string tag;
-  double cpu_ns = 0.0;
-  double tasks = 0.0;
-  double spans = 0.0;
-  double rows_in = 0.0;
-  double rows_out = 0.0;
-  double vg_draws = 0.0;
-  double bundle_bytes = 0.0;
-  double cache_hits = 0.0;
+  QueryCounts counts;
 };
+
+/// A count read from a file: fractions truncate, and negative or
+/// out-of-range numbers clamp into uint64_t rather than overflow.
+uint64_t CountOf(double v) {
+  if (!(v > 0.0)) return 0;
+  return v < 18446744073709551616.0 ? static_cast<uint64_t>(v) : UINT64_MAX;
+}
 
 struct MetricsSeries {
   double t_first_ms = 0.0;
@@ -250,61 +245,34 @@ struct MetricsSeries {
   std::map<std::string, double> counter_first;
   std::map<std::string, double> counter_last;
   std::map<std::string, double> gauges;  // final values
-  std::map<std::string, HistFinal> hists;
+  std::map<std::string, MetricSnapshot> hists;  // value = sum
   std::map<std::string, QueryAgg> queries;  // final values, keyed by "0x.."
   bool have_mem = false;
   double rss_kb = 0.0;
   double peak_rss_kb = 0.0;
 };
 
-/// Same-thread stack replay over start-ordered events (the FlameSummary
-/// algorithm, applied to the parsed file instead of the live rings).
-std::map<std::string, SpanAgg> AggregateSpans(const Json& trace) {
-  struct Ev {
-    std::string name;
-    double ts = 0.0, dur = 0.0;
-    double tid = 0.0;
-  };
-  std::vector<Ev> events;
+/// The trace's events in integer nanoseconds relative to the first event
+/// (the file's microsecond times carry at most nanosecond digits), for the
+/// tracer's own self-time reducer. Names point into `trace`.
+std::vector<TraceEvent> ParseTraceEvents(const Json& trace) {
+  std::vector<TraceEvent> events;
   if (const Json* list = trace.Get("traceEvents");
       list != nullptr && list->type == Json::Type::kArray) {
     events.reserve(list->arr.size());
     for (const Json& e : list->arr) {
-      Ev ev;
-      if (const Json* n = e.Get("name")) ev.name = n->str;
-      ev.ts = e.Get("ts") != nullptr ? e.Get("ts")->NumOr(0.0) : 0.0;
-      ev.dur = e.Get("dur") != nullptr ? e.Get("dur")->NumOr(0.0) : 0.0;
-      ev.tid = e.Get("tid") != nullptr ? e.Get("tid")->NumOr(0.0) : 0.0;
-      if (!ev.name.empty()) events.push_back(std::move(ev));
+      const Json* name = e.Get("name");
+      if (name == nullptr || name->str.empty()) continue;
+      TraceEvent ev;
+      ev.name = name->str.c_str();
+      ev.ts_ns = CountOf(std::round(e.Num("ts") * 1000.0));
+      ev.dur_ns = CountOf(std::round(e.Num("dur") * 1000.0));
+      ev.tid = static_cast<uint32_t>(std::min<uint64_t>(
+          CountOf(e.Num("tid")), std::numeric_limits<uint32_t>::max()));
+      events.push_back(ev);
     }
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const Ev& a, const Ev& b) {
-                     if (a.tid != b.tid) return a.tid < b.tid;
-                     if (a.ts != b.ts) return a.ts < b.ts;
-                     return a.dur > b.dur;  // parent before child on a tie
-                   });
-  std::map<std::string, SpanAgg> agg;
-  struct Open {
-    double end;
-    std::string name;
-  };
-  std::vector<Open> stack;
-  double current_tid = std::numeric_limits<double>::quiet_NaN();
-  for (const Ev& e : events) {
-    if (e.tid != current_tid) {
-      stack.clear();
-      current_tid = e.tid;
-    }
-    SpanAgg& a = agg[e.name];
-    ++a.calls;
-    a.incl_us += e.dur;
-    a.self_us += e.dur;
-    while (!stack.empty() && stack.back().end <= e.ts) stack.pop_back();
-    if (!stack.empty()) agg[stack.back().name].self_us -= e.dur;
-    stack.push_back({e.ts + e.dur, e.name});
-  }
-  return agg;
+  return events;
 }
 
 bool ParseMetricsJsonl(const std::string& jsonl, MetricsSeries* out,
@@ -326,8 +294,7 @@ bool ParseMetricsJsonl(const std::string& jsonl, MetricsSeries* out,
       }
       return false;
     }
-    const double t_ms =
-        rec.Get("t_ms") != nullptr ? rec.Get("t_ms")->NumOr(0.0) : 0.0;
+    const double t_ms = rec.Num("t_ms");
     if (out->samples == 0) out->t_first_ms = t_ms;
     out->t_last_ms = t_ms;
     if (const Json* counters = rec.Get("counters")) {
@@ -346,16 +313,15 @@ bool ParseMetricsJsonl(const std::string& jsonl, MetricsSeries* out,
     }
     if (const Json* hists = rec.Get("hist")) {
       for (const auto& [name, h] : hists->obj) {
-        HistFinal hf;
-        hf.count = static_cast<uint64_t>(
-            h.Get("count") != nullptr ? h.Get("count")->NumOr(0.0) : 0.0);
-        hf.sum = h.Get("sum") != nullptr ? h.Get("sum")->NumOr(0.0) : 0.0;
+        MetricSnapshot hf;
+        hf.count = CountOf(h.Num("count"));
+        hf.value = h.Num("sum");
         if (const Json* bounds = h.Get("bounds")) {
           for (const Json& b : bounds->arr) hf.bounds.push_back(b.NumOr(0.0));
         }
         if (const Json* buckets = h.Get("buckets")) {
           for (const Json& b : buckets->arr) {
-            hf.buckets.push_back(static_cast<uint64_t>(b.NumOr(0.0)));
+            hf.buckets.push_back(CountOf(b.NumOr(0.0)));
           }
         }
         out->hists[name] = std::move(hf);
@@ -365,18 +331,9 @@ bool ParseMetricsJsonl(const std::string& jsonl, MetricsSeries* out,
       for (const auto& [fp, q] : queries->obj) {
         QueryAgg agg;
         if (const Json* t = q.Get("tag")) agg.tag = t->str;
-        const auto field = [&q](const char* key) {
-          const Json* v = q.Get(key);
-          return v != nullptr ? v->NumOr(0.0) : 0.0;
-        };
-        agg.cpu_ns = field("cpu_ns");
-        agg.tasks = field("tasks");
-        agg.spans = field("spans");
-        agg.rows_in = field("rows_in");
-        agg.rows_out = field("rows_out");
-        agg.vg_draws = field("vg_draws");
-        agg.bundle_bytes = field("bundle_bytes");
-        agg.cache_hits = field("cache_hits");
+        for (const QueryField& f : kQueryFields) {
+          agg.counts.*f.count = CountOf(q.Num(f.name));
+        }
         out->queries[fp] = std::move(agg);
       }
     }
@@ -461,6 +418,26 @@ std::string Compact(double v) {
   return os.str();
 }
 
+/// The members of `obj` at `keys` as table cells: strings as written, any
+/// other value as a number, absent members empty.
+std::vector<std::string> Cells(const Json& obj,
+                               std::initializer_list<const char*> keys) {
+  std::vector<std::string> cells;
+  for (const char* key : keys) {
+    const Json* v = obj.Get(key);
+    cells.push_back(v == nullptr                     ? std::string()
+                    : v->type == Json::Type::kString ? v->str
+                                                     : Compact(v->num));
+  }
+  return cells;
+}
+
+/// Orders (name, value) pairs highest value first, ties by name.
+constexpr auto kByValueThenName = [](const auto& a, const auto& b) {
+  if (a.second != b.second) return a.second > b.second;
+  return a.first < b.first;
+};
+
 void Heading(std::ostream& os, bool markdown, const std::string& title) {
   if (markdown) {
     os << "## " << title << "\n\n";
@@ -500,24 +477,19 @@ HistogramQuantileResult HistogramQuantileEx(
   return {bounds.empty() ? 0.0 : bounds.back(), false};
 }
 
-double HistogramQuantile(const std::vector<double>& bounds,
-                         const std::vector<uint64_t>& buckets, double q) {
-  return HistogramQuantileEx(bounds, buckets, q).value;
-}
-
 bool RenderRunReport(const std::string& trace_json,
                      const std::string& metrics_jsonl,
                      const RunReportOptions& options, std::string* out,
                      std::string* error) {
   Json trace;
-  std::map<std::string, SpanAgg> spans;
+  std::vector<std::pair<std::string, SpanTotals>> spans;
   if (!trace_json.empty()) {
     std::string perr;
     if (!JsonParser(trace_json).Parse(&trace, &perr)) {
       if (error != nullptr) *error = "trace: " + perr;
       return false;
     }
-    spans = AggregateSpans(trace);
+    spans = ReduceSpanSelfTime(ParseTraceEvents(trace));
   }
   MetricsSeries series;
   if (!metrics_jsonl.empty() &&
@@ -539,13 +511,13 @@ bool RenderRunReport(const std::string& trace_json,
     TableWriter t({"what", "value"}, md);
     if (!spans.empty()) {
       uint64_t calls = 0;
-      double total_self_us = 0.0;
+      int64_t total_self_ns = 0;
       for (const auto& [name, a] : spans) {
         calls += a.calls;
-        total_self_us += a.self_us;
+        total_self_ns += a.self_ns;
       }
       t.AddRow({"trace spans", std::to_string(calls)});
-      t.AddRow({"span self time", Fixed(total_self_us / 1000.0) + " ms"});
+      t.AddRow({"span self time", Fixed(total_self_ns / 1e6) + " ms"});
     }
     if (series.samples > 0) {
       t.AddRow({"metrics samples", std::to_string(series.samples)});
@@ -564,25 +536,21 @@ bool RenderRunReport(const std::string& trace_json,
   // --- Top self-time spans ----------------------------------------------
   if (!spans.empty()) {
     Heading(os, md, "Top self-time spans");
-    std::vector<std::pair<std::string, SpanAgg>> rows(spans.begin(),
-                                                      spans.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.second.self_us > b.second.self_us;
-    });
     double total_self = 0.0;
-    for (const auto& [name, a] : rows) total_self += std::max(a.self_us, 0.0);
+    for (const auto& [name, a] : spans) {
+      total_self += static_cast<double>(std::max<int64_t>(a.self_ns, 0));
+    }
     TableWriter t({"span", "calls", "incl ms", "self ms", "self %"}, md);
-    for (size_t i = 0; i < rows.size() && i < options.top_spans; ++i) {
-      const auto& [name, a] = rows[i];
-      const double pct =
-          total_self > 0.0 ? 100.0 * std::max(a.self_us, 0.0) / total_self
-                           : 0.0;
-      t.AddRow({name, std::to_string(a.calls), Fixed(a.incl_us / 1000.0),
-                Fixed(a.self_us / 1000.0), Fixed(pct, 1)});
+    for (size_t i = 0; i < spans.size() && i < options.top_spans; ++i) {
+      const auto& [name, a] = spans[i];
+      const double self = static_cast<double>(std::max<int64_t>(a.self_ns, 0));
+      const double pct = total_self > 0.0 ? 100.0 * self / total_self : 0.0;
+      t.AddRow({name, std::to_string(a.calls), Fixed(a.incl_ns / 1e6),
+                Fixed(a.self_ns / 1e6), Fixed(pct, 1)});
     }
     t.Render(os);
-    if (rows.size() > options.top_spans) {
-      os << "(" << rows.size() - options.top_spans << " more spans)\n";
+    if (spans.size() > options.top_spans) {
+      os << "(" << spans.size() - options.top_spans << " more spans)\n";
     }
     os << "\n";
   }
@@ -594,10 +562,7 @@ bool RenderRunReport(const std::string& trace_json,
         (series.t_last_ms - series.t_first_ms) / 1000.0;
     std::vector<std::pair<std::string, double>> rows(
         series.counter_last.begin(), series.counter_last.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
+    std::sort(rows.begin(), rows.end(), kByValueThenName);
     TableWriter t({"counter", "total", "rate/s"}, md);
     for (size_t i = 0; i < rows.size() && i < options.top_counters; ++i) {
       const auto& [name, total] = rows[i];
@@ -618,19 +583,36 @@ bool RenderRunReport(const std::string& trace_json,
     std::vector<std::pair<std::string, QueryAgg>> rows(series.queries.begin(),
                                                        series.queries.end());
     std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      if (a.second.cpu_ns != b.second.cpu_ns) {
-        return a.second.cpu_ns > b.second.cpu_ns;
+      if (a.second.counts.cpu_ns != b.second.counts.cpu_ns) {
+        return a.second.counts.cpu_ns > b.second.counts.cpu_ns;
       }
       return a.first < b.first;
     });
-    TableWriter t({"query", "tag", "cpu ms", "tasks", "rows in", "rows out",
-                   "vg draws", "bundle MiB", "cache hits"},
-                  md);
+    // cpu in ms and bundle bytes in MiB; spans are left out of this table.
+    std::vector<std::string> headers = {"query", "tag"};
+    for (const QueryField& f : kQueryFields) {
+      if (f.count == &QueryCounts::spans) continue;
+      std::string h = f.name;
+      std::replace(h.begin(), h.end(), '_', ' ');
+      if (f.count == &QueryCounts::cpu_ns) h = "cpu ms";
+      if (f.count == &QueryCounts::bundle_bytes) h = "bundle MiB";
+      headers.push_back(std::move(h));
+    }
+    TableWriter t(std::move(headers), md);
     for (const auto& [fp, q] : rows) {
-      t.AddRow({fp, q.tag, Fixed(q.cpu_ns / 1e6), Compact(q.tasks),
-                Compact(q.rows_in), Compact(q.rows_out), Compact(q.vg_draws),
-                Fixed(q.bundle_bytes / (1024.0 * 1024.0), 2),
-                Compact(q.cache_hits)});
+      std::vector<std::string> row = {fp, q.tag};
+      for (const QueryField& f : kQueryFields) {
+        if (f.count == &QueryCounts::spans) continue;
+        const double v = static_cast<double>(q.counts.*f.count);
+        if (f.count == &QueryCounts::cpu_ns) {
+          row.push_back(Fixed(v / 1e6));
+        } else if (f.count == &QueryCounts::bundle_bytes) {
+          row.push_back(Fixed(v / (1024.0 * 1024.0), 2));
+        } else {
+          row.push_back(Compact(v));
+        }
+      }
+      t.AddRow(std::move(row));
     }
     t.Render(os);
     os << "\n";
@@ -642,14 +624,14 @@ bool RenderRunReport(const std::string& trace_json,
     TableWriter t({"histogram", "count", "mean", "p50", "p90", "p99"}, md);
     // Overflow-bucket quantiles are lower bounds, not estimates: render
     // them as ">= bound" rather than underreporting the tail.
-    const auto quantile_cell = [](const HistFinal& h, double q) {
+    const auto quantile_cell = [](const MetricSnapshot& h, double q) {
       const HistogramQuantileResult r =
           HistogramQuantileEx(h.bounds, h.buckets, q);
       return r.overflow ? ">= " + Compact(r.value) : Compact(r.value);
     };
     for (const auto& [name, h] : series.hists) {
       const double mean =
-          h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
+          h.count > 0 ? h.value / static_cast<double>(h.count) : 0.0;
       t.AddRow({name, std::to_string(h.count), Compact(mean),
                 quantile_cell(h, 0.50), quantile_cell(h, 0.90),
                 quantile_cell(h, 0.99)});
@@ -757,13 +739,7 @@ bool RenderFlightReport(const std::string& flight_json,
     Heading(os, md, "Live query contexts");
     TableWriter t({"thread", "trace_id", "query", "tag"}, md);
     for (const Json& c : contexts->arr) {
-      const auto cell = [&c](const char* key) {
-        const Json* v = c.Get(key);
-        if (v == nullptr) return std::string();
-        return v->type == Json::Type::kString ? v->str : Compact(v->num);
-      };
-      t.AddRow({cell("thread"), cell("trace_id"), cell("fingerprint"),
-                cell("tag")});
+      t.AddRow(Cells(c, {"thread", "trace_id", "fingerprint", "tag"}));
     }
     t.Render(os);
     os << "\n";
@@ -773,33 +749,18 @@ bool RenderFlightReport(const std::string& flight_json,
   if (const Json* spans = flight->Get("spans");
       spans != nullptr && !spans->arr.empty()) {
     Heading(os, md, "Recent spans (newest first)");
-    struct FlightSpan {
-      std::string thread, name;
-      double ts_ns = 0.0, trace_id = 0.0, span_id = 0.0, parent = 0.0;
-    };
-    std::vector<FlightSpan> rows;
-    rows.reserve(spans->arr.size());
-    for (const Json& sp : spans->arr) {
-      FlightSpan fs;
-      if (const Json* v = sp.Get("thread")) fs.thread = v->str;
-      if (const Json* v = sp.Get("name")) fs.name = v->str;
-      if (const Json* v = sp.Get("ts_ns")) fs.ts_ns = v->NumOr(0.0);
-      if (const Json* v = sp.Get("trace_id")) fs.trace_id = v->NumOr(0.0);
-      if (const Json* v = sp.Get("span_id")) fs.span_id = v->NumOr(0.0);
-      if (const Json* v = sp.Get("parent_span_id")) fs.parent = v->NumOr(0.0);
-      rows.push_back(std::move(fs));
-    }
+    std::vector<const Json*> rows;
+    for (const Json& sp : spans->arr) rows.push_back(&sp);
     std::stable_sort(rows.begin(), rows.end(),
-                     [](const FlightSpan& a, const FlightSpan& b) {
-                       return a.ts_ns > b.ts_ns;
+                     [](const Json* a, const Json* b) {
+                       return a->Num("ts_ns") > b->Num("ts_ns");
                      });
     TableWriter t({"thread", "span", "ts_ns", "trace", "span id", "parent"},
                   md);
     const size_t limit = std::max<size_t>(options.top_spans, 1) * 4;
     for (size_t i = 0; i < rows.size() && i < limit; ++i) {
-      const FlightSpan& fs = rows[i];
-      t.AddRow({fs.thread, fs.name, Compact(fs.ts_ns), Compact(fs.trace_id),
-                Compact(fs.span_id), Compact(fs.parent)});
+      t.AddRow(Cells(*rows[i], {"thread", "name", "ts_ns", "trace_id",
+                                "span_id", "parent_span_id"}));
     }
     t.Render(os);
     if (rows.size() > limit) {
@@ -816,10 +777,7 @@ bool RenderFlightReport(const std::string& flight_json,
     for (const auto& [name, v] : counters->obj) {
       rows.emplace_back(name, v.NumOr(0.0));
     }
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
+    std::sort(rows.begin(), rows.end(), kByValueThenName);
     TableWriter t({"counter", "total"}, md);
     for (size_t i = 0; i < rows.size() && i < options.top_counters; ++i) {
       t.AddRow({rows[i].first, Compact(rows[i].second)});
@@ -997,10 +955,7 @@ bool RenderProfileReport(const std::string& profile_text,
     Heading(os, md, "Per-query samples");
     std::vector<std::pair<std::string, uint64_t>> rows(query_counts.begin(),
                                                        query_counts.end());
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
+    std::sort(rows.begin(), rows.end(), kByValueThenName);
     const bool have_attr = !series.queries.empty();
     std::vector<std::string> headers = {"query", "samples", "est cpu s"};
     if (have_attr) {
@@ -1018,8 +973,9 @@ bool RenderProfileReport(const std::string& profile_text,
       row.push_back(hz > 0 ? Fixed(est_s) : "?");
       if (have_attr) {
         auto it = series.queries.find(query);
-        if (it != series.queries.end() && it->second.cpu_ns > 0.0) {
-          const double attr_s = it->second.cpu_ns * 1e-9;
+        if (it != series.queries.end() && it->second.counts.cpu_ns > 0) {
+          const double attr_s =
+              static_cast<double>(it->second.counts.cpu_ns) * 1e-9;
           row.push_back(Fixed(attr_s));
           row.push_back(hz > 0 ? Fixed(est_s / attr_s, 2) : "?");
         } else {

@@ -79,11 +79,6 @@ HistogramQuantileResult HistogramQuantileEx(const std::vector<double>& bounds,
                                             const std::vector<uint64_t>& buckets,
                                             double q);
 
-/// Value-only convenience (overflow collapses to the last finite bound).
-/// Returns 0 for an empty histogram.
-double HistogramQuantile(const std::vector<double>& bounds,
-                         const std::vector<uint64_t>& buckets, double q);
-
 }  // namespace mde::obs
 
 #endif  // MDE_OBS_REPORT_H_

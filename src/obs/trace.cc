@@ -91,8 +91,9 @@ void Tracer::Clear() {
   dropped_.store(0, std::memory_order_relaxed);
 }
 
-void Tracer::WriteChromeTrace(std::ostream& os) const {
+std::string Tracer::ChromeTraceJson() const {
   const std::vector<TraceEvent> events = Collect();
+  std::ostringstream os;
   const auto escaped = [&os](char c) { os.put(c); };
   uint64_t t0 = events.empty() ? 0 : events.front().ts_ns;
   os << "{\"traceEvents\":[";
@@ -155,46 +156,47 @@ void Tracer::WriteChromeTrace(std::ostream& os) const {
        << ",\"ts\":" << static_cast<double>(e.ts_ns - t0) / 1000.0 << "}";
   }
   os << "],\"displayTimeUnit\":\"ms\"}";
-}
-
-std::string Tracer::ChromeTraceJson() const {
-  std::ostringstream os;
-  WriteChromeTrace(os);
   return os.str();
 }
 
-std::string Tracer::FlameSummary() const {
-  const std::vector<TraceEvent> events = Collect();
-  struct Agg {
-    uint64_t calls = 0;
-    uint64_t incl_ns = 0;
-    int64_t self_ns = 0;
-  };
-  std::map<std::string, Agg> byname;
-  // Same-thread stack replay over start-ordered events: when event e opens
-  // inside the interval at the top of its thread's stack, e's duration is
-  // child time of that interval — subtract it from the parent's self time.
+std::vector<std::pair<std::string, SpanTotals>> ReduceSpanSelfTime(
+    std::vector<TraceEvent> events) {
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     if (a.tid != b.tid) return a.tid < b.tid;
+                     if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
+                     return a.dur_ns > b.dur_ns;
+                   });
+  std::map<std::string, SpanTotals> totals;
   struct Open {
     uint64_t end_ns;
-    std::string name;
+    SpanTotals* totals;
   };
-  std::map<uint32_t, std::vector<Open>> stacks;
-  for (const TraceEvent& e : events) {
-    Agg& a = byname[e.name];
-    ++a.calls;
-    a.incl_ns += e.dur_ns;
-    a.self_ns += static_cast<int64_t>(e.dur_ns);
-    auto& stack = stacks[e.tid];
+  std::vector<Open> stack;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const TraceEvent& e = events[i];
+    if (i > 0 && events[i - 1].tid != e.tid) stack.clear();
+    SpanTotals& t = totals[e.name];
+    ++t.calls;
+    t.incl_ns += e.dur_ns;
+    t.self_ns += static_cast<int64_t>(e.dur_ns);
     while (!stack.empty() && stack.back().end_ns <= e.ts_ns) stack.pop_back();
     if (!stack.empty()) {
-      byname[stack.back().name].self_ns -= static_cast<int64_t>(e.dur_ns);
+      stack.back().totals->self_ns -= static_cast<int64_t>(e.dur_ns);
     }
-    stack.push_back({e.ts_ns + e.dur_ns, e.name});
+    stack.push_back({e.ts_ns + e.dur_ns, &t});
   }
-  std::vector<std::pair<std::string, Agg>> rows(byname.begin(), byname.end());
+  std::vector<std::pair<std::string, SpanTotals>> rows(totals.begin(),
+                                                       totals.end());
   std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
     return a.second.self_ns > b.second.self_ns;
   });
+  return rows;
+}
+
+std::string Tracer::FlameSummary() const {
+  const std::vector<std::pair<std::string, SpanTotals>> rows =
+      ReduceSpanSelfTime(Collect());
   std::ostringstream os;
   os << "span                              calls    incl_ms    self_ms\n";
   for (const auto& [name, a] : rows) {

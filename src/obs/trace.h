@@ -3,8 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 /// Scoped tracing for the mde engine (EFECT's argument: a stochastic-
@@ -48,6 +48,23 @@ struct TraceEvent {
 /// Monotonic nanoseconds (steady_clock).
 uint64_t NowNanos();
 
+/// One span name's totals over a set of spans.
+struct SpanTotals {
+  uint64_t calls = 0;
+  uint64_t incl_ns = 0;
+  /// Inclusive time minus the time of spans nested in it on its thread.
+  int64_t self_ns = 0;
+};
+
+/// The self-time reducer behind Tracer::FlameSummary and mde_report: replays
+/// each thread's spans (`tid`) as a stack in start order; a span that opens
+/// inside the interval on top of its thread's stack is child time of that
+/// interval. Of spans opening at one instant, the longer (the parent) goes
+/// first. Reads `name`, `ts_ns`, `dur_ns` and `tid` only. Returns one entry
+/// per name, highest self time first.
+std::vector<std::pair<std::string, SpanTotals>> ReduceSpanSelfTime(
+    std::vector<TraceEvent> events);
+
 class Tracer {
  public:
   static Tracer& Global();
@@ -84,7 +101,6 @@ class Tracer {
   /// and cross-thread parent->child edges emit flow events ("ph":"s"/"f")
   /// so Perfetto draws arrows across stolen tasks.
   std::string ChromeTraceJson() const;
-  void WriteChromeTrace(std::ostream& os) const;
 
   /// Plain-text flame summary: per span name, call count, inclusive and
   /// self wall time (self = inclusive minus same-thread child spans),

@@ -16,7 +16,7 @@ namespace mde::table {
 
 /// Per-column statistics, computed in one pass over the cached columnar
 /// blocks and memoized on the Table. The cost model (cost.h) turns these into
-/// selectivity and cardinality estimates; the optimizer (optimizer.h) turns
+/// selectivity and cardinality estimates; the optimizer (optimizer.cc) turns
 /// those into predicate order, projection pruning, and join order.
 struct ColumnStats {
   DataType type = DataType::kNull;

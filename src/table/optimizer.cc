@@ -1,5 +1,3 @@
-#include "table/optimizer.h"
-
 #include <algorithm>
 #include <cmath>
 #include <optional>
@@ -10,6 +8,8 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "table/cost.h"
+#include "table/plan.h"
 #include "util/check.h"
 
 namespace mde::table {
@@ -156,12 +156,18 @@ Result<PlanPtr> PushSelections(const PlanPtr& plan) {
 // Each maximal cluster of adjacent kJoin nodes is flattened into its
 // relations (the non-join subtrees underneath) and the equi-join edges
 // connecting them, a left-deep order is searched (exhaustive DP up to
-// dp_max_relations, greedy above) over connected extensions only, and the
+// kDpMaxRelations, greedy above) over connected extensions only, and the
 // winner is rebuilt. Because Schema::Concat prefixes duplicate right-side
 // names with "r.", a different order can change output names/positions;
 // a ProjectAs wrapper restores the exact as-written schema, tracked via
 // positional provenance (relation, column) through the cluster.
 // ---------------------------------------------------------------------------
+
+/// Clusters up to this many relations get the exhaustive DP search.
+constexpr size_t kDpMaxRelations = 6;
+/// Clusters larger than this are left as written (search space guard;
+/// greedy handles everything up to here).
+constexpr size_t kMaxRelations = 16;
 
 struct RelRef {
   size_t rel = 0;  // index into the cluster's relation list
@@ -440,15 +446,13 @@ class OrderSearch {
   std::vector<double> sel_;
 };
 
-Result<PlanPtr> ReorderRec(const PlanPtr& node, CostModel* model,
-                           const OptimizerOptions& opts);
+Result<PlanPtr> ReorderRec(const PlanPtr& node, CostModel* model);
 
 /// Reorders one maximal join cluster rooted at `root`. Any structural
 /// obstacle (keyless join, untraceable key, name collision, disconnected
 /// graph) keeps the original order; only a strictly cheaper connected
 /// order is adopted.
-Result<PlanPtr> ReorderCluster(const PlanPtr& root, CostModel* model,
-                               const OptimizerOptions& opts) {
+Result<PlanPtr> ReorderCluster(const PlanPtr& root, CostModel* model) {
   std::vector<PlanPtr> rels_orig;
   CollectRelations(root, &rels_orig);
   const size_t n = rels_orig.size();
@@ -457,11 +461,11 @@ Result<PlanPtr> ReorderCluster(const PlanPtr& root, CostModel* model,
   std::vector<PlanPtr> rels;
   rels.reserve(n);
   for (const PlanPtr& r : rels_orig) {
-    MDE_ASSIGN_OR_RETURN(PlanPtr rr, ReorderRec(r, model, opts));
+    MDE_ASSIGN_OR_RETURN(PlanPtr rr, ReorderRec(r, model));
     rels.push_back(std::move(rr));
   }
   size_t next_rel = 0;
-  if (n < 2 || n > opts.max_relations) {
+  if (n < 2 || n > kMaxRelations) {
     return RebuildCluster(root, rels, &next_rel);
   }
 
@@ -500,7 +504,7 @@ Result<PlanPtr> ReorderCluster(const PlanPtr& root, CostModel* model,
   OrderSearch search(rel_rows, rel_cost, ndv_a, ndv_b, edges);
 
   std::optional<std::vector<size_t>> order =
-      n <= opts.dp_max_relations ? search.Dp() : search.Greedy();
+      n <= kDpMaxRelations ? search.Dp() : search.Greedy();
   if (!order.has_value()) return RebuildCluster(root, rels, &next_rel);
 
   double cand_cost = 0.0;
@@ -612,19 +616,17 @@ Result<PlanPtr> ReorderCluster(const PlanPtr& root, CostModel* model,
                              std::move(aliases));
 }
 
-Result<PlanPtr> ReorderRec(const PlanPtr& node, CostModel* model,
-                           const OptimizerOptions& opts) {
+Result<PlanPtr> ReorderRec(const PlanPtr& node, CostModel* model) {
   switch (node->kind()) {
     case PlanNode::Kind::kScan:
       return node;
     case PlanNode::Kind::kFilter:
     case PlanNode::Kind::kProject: {
-      MDE_ASSIGN_OR_RETURN(PlanPtr child,
-                           ReorderRec(node->child(), model, opts));
+      MDE_ASSIGN_OR_RETURN(PlanPtr child, ReorderRec(node->child(), model));
       return RebuildUnary(node, std::move(child));
     }
     case PlanNode::Kind::kJoin:
-      return ReorderCluster(node, model, opts);
+      return ReorderCluster(node, model);
   }
   return Status::Internal("unknown plan node");
 }
@@ -782,26 +784,18 @@ Result<PlanPtr> OrderPredicates(const PlanPtr& plan, CostModel* model) {
 
 }  // namespace
 
-Result<PlanPtr> CostBasedOptimize(const PlanPtr& plan,
-                                  const OptimizerOptions& opts) {
+Result<PlanPtr> OptimizePlan(const PlanPtr& plan) {
   if (plan == nullptr) return Status::InvalidArgument("null plan");
-  PlanPtr p = plan;
-  if (opts.push_selections) {
-    MDE_ASSIGN_OR_RETURN(p, PushSelections(p));
-  }
-  if (opts.reorder_joins) {
+  MDE_ASSIGN_OR_RETURN(PlanPtr p, PushSelections(plan));
+  {
     // Fresh model per pass: its memos key on node identity, and nodes
     // discarded between passes could alias new allocations.
     CostModel model;
-    MDE_ASSIGN_OR_RETURN(p, ReorderRec(p, &model, opts));
+    MDE_ASSIGN_OR_RETURN(p, ReorderRec(p, &model));
   }
-  if (opts.push_projections) {
-    MDE_ASSIGN_OR_RETURN(p, PushProjections(p));
-  }
-  if (opts.order_predicates) {
-    CostModel model;
-    MDE_ASSIGN_OR_RETURN(p, OrderPredicates(p, &model));
-  }
+  MDE_ASSIGN_OR_RETURN(p, PushProjections(p));
+  CostModel model;
+  MDE_ASSIGN_OR_RETURN(p, OrderPredicates(p, &model));
   MDE_OBS_COUNT("opt.plans_optimized", 1);
   return p;
 }

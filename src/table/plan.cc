@@ -9,7 +9,6 @@
 #include "obs/context.h"
 #include "obs/trace.h"
 #include "table/cost.h"
-#include "table/optimizer.h"
 #include "table/vec_ops.h"
 #include "util/check.h"
 
@@ -405,10 +404,6 @@ void AnalyzeRec(const PlanPtr& plan, const ExecutionStats& stats, int depth,
 }
 
 }  // namespace
-
-Result<PlanPtr> OptimizePlan(const PlanPtr& plan) {
-  return CostBasedOptimize(plan, OptimizerOptions{});
-}
 
 std::string ExplainPlan(const PlanPtr& plan) {
   std::ostringstream os;

@@ -124,10 +124,17 @@ Result<Table> ExecutePlan(const PlanPtr& plan, ExecutionStats* stats);
 /// that ran it. `plan` must be the same plan that produced `stats`.
 std::string ExplainAnalyze(const PlanPtr& plan, const ExecutionStats& stats);
 
-/// Cost-based optimization (optimizer.h): selection pushdown, predicate
-/// ordering by estimated selectivity, projection pushdown, and join
-/// reordering driven by the statistics catalog (catalog.h) and cost model
-/// (cost.h). Returns a semantically equivalent plan.
+/// Cost-based optimization (optimizer.cc), four passes in order: selection
+/// pushdown through projections and joins; join reordering of each join
+/// cluster (exhaustive left-deep DP up to 6 relations, greedy up to 16,
+/// as written above that), connected orders only, with a renaming
+/// projection restoring the as-written schema; projection pushdown
+/// narrowing scans to the columns consumed above; conjunctive predicates
+/// ordered most selective first. Driven by the statistics catalog
+/// (catalog.h) and cost model (cost.h). Returns a semantically equivalent
+/// plan: same rows and output schema, row order preserved except across
+/// join reorders (hash join output order is an implementation detail; use
+/// order-insensitive comparison when asserting on reordered plans).
 Result<PlanPtr> OptimizePlan(const PlanPtr& plan);
 
 /// Pretty-printed operator tree for debugging / EXPLAIN output.

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -687,6 +688,32 @@ TEST(ObsContextTest, FlightDumpWithoutRegistrySectionsStillParses) {
       << error;
   EXPECT_NE(report.find("signal:SIGSEGV"), std::string::npos);
   EXPECT_EQ(report.find("Counters at dump"), std::string::npos);
+}
+
+TEST(ObsContextTest, FlightDumpWithNonFiniteGaugesParses) {
+  // A diverged estimator publishes NaN or an infinity (dsgd.loss after a
+  // blown-up step); the dump must stay JSON the report can read.
+  obs::Registry& reg = obs::Registry::Global();
+  const double inf = std::numeric_limits<double>::infinity();
+  reg.gauge("test.flight_nan")->Set(std::numeric_limits<double>::quiet_NaN());
+  reg.gauge("test.flight_pos_inf")->Set(inf);
+  reg.gauge("test.flight_neg_inf")->Set(-inf);
+  const std::string json =
+      obs::FlightRecorder::Global().RenderJson("non-finite gauges");
+  for (const char* name :
+       {"test.flight_nan", "test.flight_pos_inf", "test.flight_neg_inf"}) {
+    reg.gauge(name)->Set(0.0);
+    EXPECT_NE(json.find("\"" + std::string(name) + "\":null"),
+              std::string::npos)
+        << name;
+  }
+  std::string report;
+  std::string error;
+  ASSERT_TRUE(obs::RenderFlightReport(json, obs::RunReportOptions{}, &report,
+                                      &error))
+      << error;
+  EXPECT_NE(report.find("non-finite gauges"), std::string::npos);
+  EXPECT_NE(report.find("test.flight_nan"), std::string::npos);
 }
 
 }  // namespace

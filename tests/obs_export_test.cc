@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -202,6 +203,17 @@ TEST(ObsExportTest, PrometheusTextGolden) {
   h.count = 6;
   h.value = 25.5;  // sum
   snapshot.push_back(h);
+  // Non-finite values take the exposition format's own spellings.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto& [name, v] :
+       {std::pair<const char*, double>{"est.nan",
+                                       std::numeric_limits<double>::quiet_NaN()},
+        {"est.pos_inf", inf},
+        {"est.neg_inf", -inf}}) {
+    g.name = name;
+    g.value = v;
+    snapshot.push_back(g);
+  }
 
   const std::string expected =
       "# TYPE vec_chunks counter\n"
@@ -213,7 +225,13 @@ TEST(ObsExportTest, PrometheusTextGolden) {
       "lat_ms_bucket{le=\"10\"} 5\n"
       "lat_ms_bucket{le=\"+Inf\"} 6\n"
       "lat_ms_sum 25.5\n"
-      "lat_ms_count 6\n";
+      "lat_ms_count 6\n"
+      "# TYPE est_nan gauge\n"
+      "est_nan NaN\n"
+      "# TYPE est_pos_inf gauge\n"
+      "est_pos_inf +Inf\n"
+      "# TYPE est_neg_inf gauge\n"
+      "est_neg_inf -Inf\n";
   EXPECT_EQ(obs::PrometheusText(snapshot), expected);
 }
 
@@ -286,11 +304,11 @@ TEST(ObsMetricsTest, HistogramBoundsConflictCounted) {
   EXPECT_EQ(other->bounds(), (std::vector<double>{1.0, 2.0}));
 }
 
-TEST(ObsMetricsTest, TextDumpGaugesRoundTrip) {
+TEST(ObsMetricsTest, PrometheusGaugesRoundTrip) {
   const double v = 0.1 + 1.0 / 3.0;  // not representable in 6 digits
   Registry::Global().gauge("test.roundtrip_gauge")->Set(v);
-  const std::string dump = Registry::Global().TextDump();
-  std::regex line_re("test\\.roundtrip_gauge ([^\\n]+)");
+  const std::string dump = obs::PrometheusText();
+  std::regex line_re("\\ntest_roundtrip_gauge ([^\\n]+)");
   std::smatch m;
   ASSERT_TRUE(std::regex_search(dump, m, line_re));
   EXPECT_EQ(std::strtod(m[1].str().c_str(), nullptr), v);
@@ -302,11 +320,12 @@ TEST(ObsMetricsTest, TextDumpGaugesRoundTrip) {
 
 TEST(ObsMemTest, LiveBytesTracksAllocAndFree) {
   const uint64_t before = obs::LiveBytes("test.mempool");
-  obs::RecordAlloc("test.mempool", 1000);
+  obs::MemPool pool("test.mempool");
+  pool.RecordAlloc(1000);
   EXPECT_EQ(obs::LiveBytes("test.mempool"), before + 1000);
-  obs::RecordFree("test.mempool", 400);
+  pool.RecordFree(400);
   EXPECT_EQ(obs::LiveBytes("test.mempool"), before + 600);
-  obs::RecordFree("test.mempool", 600);
+  pool.RecordFree(600);
   EXPECT_EQ(obs::LiveBytes("test.mempool"), before);
 }
 
@@ -495,16 +514,18 @@ TEST(ObsReportTest, HistogramQuantileInterpolates) {
   const std::vector<double> bounds = {10.0, 20.0, 30.0};
   // 10 observations uniform in the second bucket (10, 20].
   const std::vector<uint64_t> buckets = {0, 10, 0, 0};
-  EXPECT_DOUBLE_EQ(obs::HistogramQuantile(bounds, buckets, 0.5), 15.0);
-  EXPECT_DOUBLE_EQ(obs::HistogramQuantile(bounds, buckets, 1.0), 20.0);
+  const auto quantile = [&bounds](const std::vector<uint64_t>& buckets,
+                                  double q) {
+    return obs::HistogramQuantileEx(bounds, buckets, q).value;
+  };
+  EXPECT_DOUBLE_EQ(quantile(buckets, 0.5), 15.0);
+  EXPECT_DOUBLE_EQ(quantile(buckets, 1.0), 20.0);
   // Mass split across buckets: p50 exactly at the first bound.
-  EXPECT_DOUBLE_EQ(
-      obs::HistogramQuantile(bounds, {5, 5, 0, 0}, 0.5), 10.0);
+  EXPECT_DOUBLE_EQ(quantile({5, 5, 0, 0}, 0.5), 10.0);
   // +inf bucket has no upper edge: reports the last finite bound.
-  EXPECT_DOUBLE_EQ(
-      obs::HistogramQuantile(bounds, {0, 0, 0, 4}, 0.99), 30.0);
+  EXPECT_DOUBLE_EQ(quantile({0, 0, 0, 4}, 0.99), 30.0);
   // Empty histogram.
-  EXPECT_DOUBLE_EQ(obs::HistogramQuantile(bounds, {0, 0, 0, 0}, 0.5), 0.0);
+  EXPECT_DOUBLE_EQ(quantile({0, 0, 0, 0}, 0.5), 0.0);
 }
 
 TEST(ObsReportTest, HistogramQuantileFlagsOverflowBucket) {

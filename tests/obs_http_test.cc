@@ -935,5 +935,206 @@ TEST(ProfilerTest, EngineResultsBitIdenticalWithProfilerRunning) {
   prof.Stop();
 }
 
+// ---------------------------------------------------------------------------
+// Attribution-row goldens: every writer and reader of the per-query table,
+// over one fixed table (an escape-hungry tag, a cpu-ns tie broken by
+// fingerprint, a count past 2^32).
+// ---------------------------------------------------------------------------
+
+void FillGoldenAttribution() {
+  obs::AttributionTable& table = obs::AttributionTable::Global();
+  table.Reset();
+  const auto fill = [&table](uint64_t fp, const char* tag,
+                             std::vector<uint64_t> v) {
+    obs::QueryStats* q = table.Acquire(fp, tag);
+    q->cpu_ns += v[0];
+    q->tasks += v[1];
+    q->spans += v[2];
+    q->rows_in += v[3];
+    q->rows_out += v[4];
+    q->vg_draws += v[5];
+    q->bundle_bytes += v[6];
+    q->cache_hits += v[7];
+  };
+  fill(0xa11ce, "golden.scan", {2500000, 4, 12, 1000, 250, 0, 0, 3});
+  fill(0xb0b, "golden.<\"esc\">&\\",
+       {123456789, 64, 300, 5000, 5000, 160000, 3670016, 0});
+  fill(0xc0ffee, "golden.tie", {2500000, 1, 1, 7, 7, 12345678901, 1, 42});
+}
+
+/// The text of the section titled `heading` up to the next "## " heading.
+std::string ReportSection(const std::string& report,
+                          const std::string& heading) {
+  const size_t begin = report.find("## " + heading + "\n");
+  if (begin == std::string::npos) return "";
+  const size_t end = report.find("\n## ", begin);
+  return report.substr(begin, end == std::string::npos ? std::string::npos
+                                                       : end + 1 - begin);
+}
+
+/// The `"queries":{...}` member of a JSONL record.
+std::string QueriesObject(const std::string& line) {
+  const size_t begin = line.find("\"queries\":{");
+  if (begin == std::string::npos) return "";
+  int depth = 0;
+  for (size_t i = begin + 10; i < line.size(); ++i) {
+    if (line[i] == '{') ++depth;
+    if (line[i] == '}' && --depth == 0) return line.substr(begin, i + 1 - begin);
+  }
+  return "";
+}
+
+TEST(AttributionGoldenTest, QueryzJsonAndHtml) {
+  FillGoldenAttribution();
+  obs::DiagServer server;
+  ASSERT_TRUE(server.Start(0));
+  int status = 0;
+  const std::string json =
+      HttpGet(server.port(), "/queryz?format=json", &status);
+  EXPECT_EQ(status, 200);
+  const std::string html = HttpGet(server.port(), "/queryz", &status);
+  EXPECT_EQ(status, 200);
+  server.Stop();
+  obs::AttributionTable::Global().Reset();
+  EXPECT_EQ(json,
+      "{\"queries\":[{\"query\":\"0xb0b\",\"tag\":\"golden.<\\\"esc\\\">"
+      "&\\\\\",\"cpu_ns\":123456789,\"tasks\":64,\"spans\":300,"
+      "\"rows_in\":5000,\"rows_out\":5000,\"vg_draws\":160000,"
+      "\"bundle_bytes\":3670016,\"cache_hits\":0},{\"query\":\"0xa11ce\","
+      "\"tag\":\"golden.scan\",\"cpu_ns\":2500000,\"tasks\":4,"
+      "\"spans\":12,\"rows_in\":1000,\"rows_out\":250,\"vg_draws\":0,"
+      "\"bundle_bytes\":0,\"cache_hits\":3},{\"query\":\"0xc0ffee\","
+      "\"tag\":\"golden.tie\",\"cpu_ns\":2500000,\"tasks\":1,\"spans\":1,"
+      "\"rows_in\":7,\"rows_out\":7,\"vg_draws\":12345678901,"
+      "\"bundle_bytes\":1,\"cache_hits\":42}]}");
+  EXPECT_EQ(html,
+      "<!doctype html><html><head><title>mde /queryz</title></head><body>"
+      "<h1>Per-query attribution</h1><p><a href=\"/queryz?format=json\">"
+      "json</a></p><table border=\"1\" cellpadding=\"4\"><tr><th>"
+      "query</th><th>tag</th><th>cpu_ms</th><th>tasks</th><th>spans</th>"
+      "<th>rows_in</th><th>rows_out</th><th>vg_draws</th><th>"
+      "bundle_bytes</th><th>cache_hits</th></tr><tr><td>"
+      "<a href=\"/profilez?seconds=2&amp;query=0xb0b\">0xb0b</a></td><td>"
+      "golden.&lt;&quot;esc&quot;&gt;&amp;\\</td><td>123.457</td><td>"
+      "64</td><td>300</td><td>5000</td><td>5000</td><td>160000</td><td>"
+      "3670016</td><td>0</td></tr><tr><td>"
+      "<a href=\"/profilez?seconds=2&amp;query=0xa11ce\">0xa11ce</a></td>"
+      "<td>golden.scan</td><td>2.500</td><td>4</td><td>12</td><td>"
+      "1000</td><td>250</td><td>0</td><td>0</td><td>3</td></tr><tr><td>"
+      "<a href=\"/profilez?seconds=2&amp;query=0xc0ffee\">0xc0ffee</a>"
+      "</td><td>golden.tie</td><td>2.500</td><td>1</td><td>1</td><td>"
+      "7</td><td>7</td><td>12345678901</td><td>1</td><td>42</td></tr>"
+      "</table></body></html>");
+}
+
+TEST(AttributionGoldenTest, PrometheusAttributionText) {
+  FillGoldenAttribution();
+  const std::string text = obs::AttributionText();
+  obs::AttributionTable::Global().Reset();
+  EXPECT_EQ(text,
+      "# TYPE mde_query_cpu_ns counter\n"
+      "mde_query_cpu_ns{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 123456789\n"
+      "mde_query_cpu_ns{query=\"0xa11ce\",tag=\"golden.scan\"} 2500000\n"
+      "mde_query_cpu_ns{query=\"0xc0ffee\",tag=\"golden.tie\"} 2500000\n"
+      "# TYPE mde_query_tasks counter\n"
+      "mde_query_tasks{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 64\n"
+      "mde_query_tasks{query=\"0xa11ce\",tag=\"golden.scan\"} 4\n"
+      "mde_query_tasks{query=\"0xc0ffee\",tag=\"golden.tie\"} 1\n"
+      "# TYPE mde_query_spans counter\n"
+      "mde_query_spans{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 300\n"
+      "mde_query_spans{query=\"0xa11ce\",tag=\"golden.scan\"} 12\n"
+      "mde_query_spans{query=\"0xc0ffee\",tag=\"golden.tie\"} 1\n"
+      "# TYPE mde_query_rows_in counter\n"
+      "mde_query_rows_in{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 5000\n"
+      "mde_query_rows_in{query=\"0xa11ce\",tag=\"golden.scan\"} 1000\n"
+      "mde_query_rows_in{query=\"0xc0ffee\",tag=\"golden.tie\"} 7\n"
+      "# TYPE mde_query_rows_out counter\n"
+      "mde_query_rows_out{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 5000\n"
+      "mde_query_rows_out{query=\"0xa11ce\",tag=\"golden.scan\"} 250\n"
+      "mde_query_rows_out{query=\"0xc0ffee\",tag=\"golden.tie\"} 7\n"
+      "# TYPE mde_query_vg_draws counter\n"
+      "mde_query_vg_draws{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 160000\n"
+      "mde_query_vg_draws{query=\"0xa11ce\",tag=\"golden.scan\"} 0\n"
+      "mde_query_vg_draws{query=\"0xc0ffee\","
+      "tag=\"golden.tie\"} 12345678901\n"
+      "# TYPE mde_query_bundle_bytes counter\n"
+      "mde_query_bundle_bytes{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 3670016\n"
+      "mde_query_bundle_bytes{query=\"0xa11ce\",tag=\"golden.scan\"} 0\n"
+      "mde_query_bundle_bytes{query=\"0xc0ffee\",tag=\"golden.tie\"} 1\n"
+      "# TYPE mde_query_cache_hits counter\n"
+      "mde_query_cache_hits{query=\"0xb0b\",tag=\"golden.<\\\"esc\\\">"
+      "&\\\\\"} 0\n"
+      "mde_query_cache_hits{query=\"0xa11ce\",tag=\"golden.scan\"} 3\n"
+      "mde_query_cache_hits{query=\"0xc0ffee\",tag=\"golden.tie\"} 42\n");
+}
+
+TEST(AttributionGoldenTest, SamplerQueriesAndReportTables) {
+  FillGoldenAttribution();
+  const std::string path = ::testing::TempDir() + "/obs_attr_golden.jsonl";
+  std::remove(path.c_str());
+  {
+    obs::SamplerOptions opts;
+    opts.path = path;
+    opts.period = std::chrono::hours(1);
+    obs::Sampler sampler(opts);
+    ASSERT_TRUE(sampler.ok());
+  }  // Stop writes the one record.
+  obs::AttributionTable::Global().Reset();
+  const std::string jsonl = ReadFile(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(QueriesObject(jsonl),
+      "\"queries\":{\"0xb0b\":{\"tag\":\"golden.<\\\"esc\\\">&\\\\\","
+      "\"cpu_ns\":123456789,\"tasks\":64,\"spans\":300,\"rows_in\":5000,"
+      "\"rows_out\":5000,\"vg_draws\":160000,\"bundle_bytes\":3670016,"
+      "\"cache_hits\":0},\"0xa11ce\":{\"tag\":\"golden.scan\","
+      "\"cpu_ns\":2500000,\"tasks\":4,\"spans\":12,\"rows_in\":1000,"
+      "\"rows_out\":250,\"vg_draws\":0,\"bundle_bytes\":0,"
+      "\"cache_hits\":3},\"0xc0ffee\":{\"tag\":\"golden.tie\","
+      "\"cpu_ns\":2500000,\"tasks\":1,\"spans\":1,\"rows_in\":7,"
+      "\"rows_out\":7,\"vg_draws\":12345678901,\"bundle_bytes\":1,"
+      "\"cache_hits\":42}}");
+
+  std::string report, error;
+  ASSERT_TRUE(obs::RenderRunReport("", jsonl, {}, &report, &error)) << error;
+  EXPECT_EQ(ReportSection(report, "Per-query attribution"),
+      "## Per-query attribution\n"
+      "\n"
+      "| query | tag | cpu ms | tasks | rows in | rows out | vg draws | "
+      "bundle MiB | cache hits |\n"
+      "|---|---|---|---|---|---|---|---|---|\n"
+      "| 0xb0b | golden.<\"esc\">&\\ | 123.457 | 64 | 5000 | 5000 | "
+      "160000 | 3.50 | 0 |\n"
+      "| 0xa11ce | golden.scan | 2.500 | 4 | 1000 | 250 | 0 | 0.00 | 3 |\n"
+      "| 0xc0ffee | golden.tie | 2.500 | 1 | 7 | 7 | 1.23456789e+10 | "
+      "0.00 | 42 |\n"
+      "\n");
+
+  const std::string profile =
+      "# mde_profile hz=100 samples=385 window_s=2.000\n"
+      "query:0xb0b;main;vg 250\n"
+      "query:0xa11ce;main 30\n"
+      "query:0xdead;main 5\n"
+      "query:-;idle 100\n";
+  ASSERT_TRUE(obs::RenderProfileReport(profile, jsonl, {}, &report, &error))
+      << error;
+  EXPECT_EQ(ReportSection(report, "Per-query samples"),
+      "## Per-query samples\n"
+      "\n"
+      "| query | samples | est cpu s | attr cpu s | est/attr |\n"
+      "|---|---|---|---|---|\n"
+      "| 0xb0b | 250 | 2.500 | 0.123 | 20.25 |\n"
+      "| (no query) | 100 | 1.000 | - | - |\n"
+      "| 0xa11ce | 30 | 0.300 | 0.003 | 120.00 |\n"
+      "| 0xdead | 5 | 0.050 | - | - |\n"
+      "\n");
+}
+
 }  // namespace
 }  // namespace mde

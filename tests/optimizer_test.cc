@@ -8,7 +8,6 @@
 #include "table/catalog.h"
 #include "table/cost.h"
 #include "table/ops.h"
-#include "table/optimizer.h"
 #include "table/plan.h"
 #include "table/table.h"
 #include "table/value.h"
@@ -360,21 +359,6 @@ TEST(OptimizerTest, EmptyInputsOptimizeAndExecute) {
   auto out = ExecutePlan(opt.value(), nullptr);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out.value().num_rows(), 0u);
-}
-
-TEST(OptimizerTest, DisabledPassesLeavePlanExecutable) {
-  Table orders = Orders(500);
-  PlanPtr plan = PlanNode::Filter(PlanNode::Scan(&orders, "orders"),
-                                  {{"amount", CmpOp::kGt, Value(14.0)}});
-  OptimizerOptions off;
-  off.push_selections = off.reorder_joins = off.push_projections =
-      off.order_predicates = false;
-  auto opt = CostBasedOptimize(plan, off);
-  ASSERT_TRUE(opt.ok());
-  auto a = ExecutePlan(plan, nullptr);
-  auto b = ExecutePlan(opt.value(), nullptr);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ(RowStrings(a.value()), RowStrings(b.value()));
 }
 
 // ---------------------------------------------------------------------------
